@@ -10,6 +10,7 @@
 #include "bench_util.hh"
 #include "sim/energy.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "workloads/registry.hh"

@@ -23,6 +23,7 @@
 #include "bench_util.hh"
 #include "prefetch/triangel.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "stats/table.hh"
 #include "workloads/registry.hh"
 

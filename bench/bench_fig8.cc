@@ -15,6 +15,8 @@
 #include <unordered_map>
 
 #include "bench_util.hh"
+#include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "trace/trace.hh"

@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared plumbing for the figure-reproduction benches: the standard
- * RPG2 / Triangel / Prophet comparison across a workload list, with
- * geomean rows, as Figures 10-12, 15, 17 and 18 report.
+ * Shared flag parsing for the standalone benches (the figures
+ * themselves are reproduced by `prophet run specs/<fig>.json`).
  */
 
 #ifndef PROPHET_BENCH_BENCH_UTIL_HH
@@ -11,25 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "sim/runner.hh"
-#include "sim/sweep.hh"
-#include "stats/summary.hh"
-#include "stats/table.hh"
 
 namespace prophet::bench
 {
-
-/** The three systems every headline figure compares. */
-struct TrioResult
-{
-    sim::RunStats rpg2;
-    sim::RunStats triangel;
-    sim::RunStats prophet;
-};
 
 /**
  * Parse the shared bench flag `--threads N` (also `--threads=N`).
@@ -65,111 +48,6 @@ parseThreads(int argc, char **argv, unsigned fallback = 1)
             return parse(argv[i] + 10);
     }
     return fallback;
-}
-
-/** Run RPG2, Triangel, and the Prophet pipeline on one workload. */
-inline TrioResult
-runTrio(sim::Runner &runner, const std::string &workload)
-{
-    TrioResult r;
-    r.rpg2 = runner.runRpg2(workload).stats;
-    r.triangel = runner.run("triangel", workload);
-    r.prophet = runner.runProphet(workload).stats;
-    return r;
-}
-
-/**
- * The standard figure sweep: every workload's trio, fanned across
- * the sweep engine's thread pool. Results are keyed by workload and
- * independent of the thread count.
- */
-inline std::map<std::string, TrioResult>
-runTrios(sim::Runner &runner,
-         const std::vector<std::string> &workloads, unsigned threads)
-{
-    sim::SweepEngine engine(runner, threads);
-    std::printf("sweeping %zu workloads x 3 systems on %u thread%s\n",
-                workloads.size(), engine.threads(),
-                engine.threads() == 1 ? "" : "s");
-    auto outcomes = engine.runTrios(workloads);
-    std::map<std::string, TrioResult> results;
-    for (auto &[w, o] : outcomes) {
-        TrioResult r;
-        r.rpg2 = o.rpg2.stats;
-        r.triangel = o.triangel;
-        r.prophet = o.prophet.stats;
-        results.emplace(w, std::move(r));
-    }
-    return results;
-}
-
-/** Metric extractor signature: (runner, workload, stats) -> value. */
-using Metric = double (*)(sim::Runner &, const std::string &,
-                          const sim::RunStats &);
-
-inline double
-speedupMetric(sim::Runner &r, const std::string &w,
-              const sim::RunStats &s)
-{
-    return r.speedup(w, s);
-}
-
-inline double
-trafficMetric(sim::Runner &r, const std::string &w,
-              const sim::RunStats &s)
-{
-    return r.trafficNorm(w, s);
-}
-
-inline double
-coverageMetric(sim::Runner &r, const std::string &w,
-               const sim::RunStats &s)
-{
-    return r.coverage(w, s);
-}
-
-inline double
-accuracyMetric(sim::Runner &, const std::string &,
-               const sim::RunStats &s)
-{
-    return s.prefetchAccuracy();
-}
-
-/**
- * Render the standard per-workload trio table for one metric, with
- * a geomean row (matching the figures' "Geomean" bar).
- */
-inline void
-printTrioTable(sim::Runner &runner,
-               const std::vector<std::string> &workloads,
-               const std::map<std::string, TrioResult> &results,
-               const char *metric_name, Metric metric)
-{
-    stats::Table table({"workload", "RPG2", "Triangel", "Prophet"});
-    std::vector<double> g_rpg2, g_tri, g_pro;
-    // Geomean per system over its positive values; a system stuck at
-    // zero (RPG2's coverage on kernel-less workloads, footnote 6)
-    // reports the arithmetic-mean-compatible 0 instead.
-    auto note = [](std::vector<double> &col, double v) {
-        if (v > 0.0)
-            col.push_back(v);
-    };
-    for (const auto &w : workloads) {
-        const TrioResult &r = results.at(w);
-        double v_rpg2 = metric(runner, w, r.rpg2);
-        double v_tri = metric(runner, w, r.triangel);
-        double v_pro = metric(runner, w, r.prophet);
-        table.addRow({w, stats::Table::fmt(v_rpg2),
-                      stats::Table::fmt(v_tri),
-                      stats::Table::fmt(v_pro)});
-        note(g_rpg2, v_rpg2);
-        note(g_tri, v_tri);
-        note(g_pro, v_pro);
-    }
-    table.addRow({"Geomean", stats::Table::fmt(stats::geomean(g_rpg2)),
-                  stats::Table::fmt(stats::geomean(g_tri)),
-                  stats::Table::fmt(stats::geomean(g_pro))});
-    std::printf("%s\n%s\n", metric_name, table.render().c_str());
 }
 
 } // namespace prophet::bench

@@ -51,8 +51,8 @@ metricValue(const JobResult &r, const std::string &metric)
 /**
  * stdout tables, one per metric: workloads as rows, pipelines as
  * columns, plus the figures' Geomean row (geomean over the positive
- * values only — the same rule bench_util applies, so a pipeline
- * stuck at zero reports 0 instead of poisoning the mean).
+ * values only, so a pipeline stuck at zero reports 0 instead of
+ * poisoning the mean).
  */
 class TableSink : public Sink
 {

@@ -12,7 +12,8 @@
  *
  * This implementation models both the prediction mechanics (history
  * replay from the indexed position) and the DRAM metadata traffic,
- * so bench_offchip can reproduce the on-chip-vs-off-chip trade-off.
+ * so specs/offchip.json can reproduce the on-chip-vs-off-chip
+ * trade-off.
  */
 
 #ifndef PROPHET_PREFETCH_STMS_HH

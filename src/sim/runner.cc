@@ -338,7 +338,8 @@ Runner::runRpg2(const std::string &workload)
     out.kernels =
         rpg2::identifyKernels(t, base_stats.pcMisses, resolver);
     if (out.kernels.empty()) {
-        // No qualified kernels (mcf/omnetpp/soplex): RPG2 leaves the
+        // No qualified kernels (every SPEC workload; RPG2 finds
+        // kernels only in the graph workloads): RPG2 leaves the
         // binary unchanged, so performance equals the baseline.
         out.stats = base_stats;
         out.tunedDistance = 0;

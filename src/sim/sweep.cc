@@ -4,13 +4,10 @@
 #include <exception>
 #include <mutex>
 
-#include "common/log.hh"
-
 namespace prophet::sim
 {
 
-SweepEngine::SweepEngine(Runner &runner, unsigned threads)
-    : runnerRef(runner)
+SweepEngine::SweepEngine(Runner &, unsigned threads)
 {
     unsigned n = ThreadPool::resolveThreads(threads);
     if (n > 1)
@@ -94,72 +91,6 @@ SweepEngine::tryForEach(std::size_t n,
     for (std::size_t i = 0; i < n; ++i)
         pool->submit([&, i] { runOne(i); });
     pool->wait();
-    return out;
-}
-
-std::vector<RunStats>
-SweepEngine::runConfigs(const std::vector<SweepJob> &jobs)
-{
-    std::vector<RunStats> out(jobs.size());
-    forEach(jobs.size(), [&](std::size_t i) {
-        out[i] = runnerRef.runConfig(jobs[i].workload, jobs[i].cfg);
-    });
-    return out;
-}
-
-void
-SweepEngine::warmBaselines(const std::vector<std::string> &workloads)
-{
-    forEach(workloads.size(), [&](std::size_t i) {
-        runnerRef.baseline(workloads[i]);
-    });
-}
-
-std::map<std::string, TrioOutcome>
-SweepEngine::runTrios(const std::vector<std::string> &workloads)
-{
-    // Duplicate workload names are collapsed up front: two fan-out
-    // jobs writing one TrioOutcome slot would race, and duplicate
-    // baseline warm-ups would burn a worker on a discarded run.
-    std::vector<std::string> unique;
-    std::map<std::string, TrioOutcome> out;
-    for (const auto &w : workloads)
-        if (out.emplace(w, TrioOutcome{}).second)
-            unique.push_back(w);
-
-    // Phase 1: one baseline job per workload. RPG2 consults the
-    // baseline and the figure metrics normalize to it; computing it
-    // up front keeps the fan-out phase from running it redundantly
-    // in racing jobs.
-    warmBaselines(unique);
-
-    // Phase 2: three independent jobs per workload. Each pipeline's
-    // internal multi-run structure (RPG2's distance binary search,
-    // Prophet's profile pass) stays sequential within its job.
-
-    static const char *const kSystems[] = {"rpg2", "triangel",
-                                           "prophet"};
-    std::atomic<std::size_t> completed{0};
-    std::size_t total = unique.size() * 3;
-    forEach(total, [&](std::size_t i) {
-        const std::string &w = unique[i / 3];
-        TrioOutcome &slot = out.at(w); // map untouched during fan-out
-        switch (i % 3) {
-          case 0:
-            slot.rpg2 = runnerRef.runRpg2(w);
-            break;
-          case 1:
-            slot.triangel = runnerRef.run("triangel", w);
-            break;
-          default:
-            slot.prophet = runnerRef.runProphet(w);
-            break;
-        }
-        // Progress to stderr: stdout stays bit-identical across
-        // thread counts (completion order is scheduling-dependent).
-        prophet_infof("  [%zu/%zu] %s %s done", ++completed, total,
-                      w.c_str(), kSystems[i % 3]);
-    });
     return out;
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * The parallel sweep engine: fans (workload x config) simulation
- * jobs — including the multi-run RPG2 tuning and Prophet
- * profile/analyze/run pipelines — across a fixed-size thread pool
- * and merges results deterministically.
+ * The parallel sweep engine: fans simulation jobs — including the
+ * multi-run RPG2 tuning and Prophet profile/analyze/run pipelines —
+ * across a fixed-size thread pool and merges results
+ * deterministically.
  *
  * Every job is an independent System over a shared immutable trace,
  * and each pipeline's internal runs stay sequential inside its job,
@@ -16,7 +16,6 @@
 
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,43 +27,23 @@
 namespace prophet::sim
 {
 
-/** One (workload x config) simulation job. */
-struct SweepJob
-{
-    std::string workload;
-    SystemConfig cfg;
-};
-
 /**
- * The standard figure comparison on one workload: the full RPG2
- * pipeline, Triangel, and the full Prophet pipeline.
- */
-struct TrioOutcome
-{
-    Rpg2Outcome rpg2{};
-    RunStats triangel{};
-    ProphetOutcome prophet{};
-};
-
-/**
- * Schedules simulation jobs over a Runner. With threads == 1 the
- * engine degrades to plain serial execution in the calling thread;
- * any thread count produces identical results.
+ * Schedules simulation jobs over a thread pool. With threads == 1
+ * the engine degrades to plain serial execution in the calling
+ * thread; any thread count produces identical results.
  */
 class SweepEngine
 {
   public:
     /**
-     * @param runner Shared experiment runner (thread-safe caches).
+     * @param runner The shared runner the jobs simulate on. Jobs
+     *        capture it themselves; the engine only schedules them.
      * @param threads Worker count; 0 = hardware concurrency.
      */
     explicit SweepEngine(Runner &runner, unsigned threads = 0);
 
     /** Worker count in use. */
     unsigned threads() const;
-
-    /** The underlying runner. */
-    Runner &runner() { return runnerRef; }
 
     /** How tryForEach responds to a failing index. */
     enum class FailurePolicy
@@ -118,30 +97,7 @@ class SweepEngine
                FailurePolicy policy = FailurePolicy::KeepGoing,
                CancellationToken *token = nullptr);
 
-    /**
-     * Run every job and return stats in job order (deterministic
-     * merge regardless of completion order).
-     */
-    std::vector<RunStats> runConfigs(const std::vector<SweepJob> &jobs);
-
-    /**
-     * The headline trio on each workload. Baselines are computed
-     * first (one job per workload), then the three systems fan out
-     * as independent jobs: the RPG2 identify/tune pipeline, the
-     * Triangel run, and the Prophet profile/analyze/run pipeline.
-     */
-    std::map<std::string, TrioOutcome>
-    runTrios(const std::vector<std::string> &workloads);
-
-    /**
-     * Pre-generate traces and baseline runs for the workloads, one
-     * job per workload (useful before derived sweeps whose jobs all
-     * consult the baseline).
-     */
-    void warmBaselines(const std::vector<std::string> &workloads);
-
   private:
-    Runner &runnerRef;
     std::unique_ptr<ThreadPool> pool; ///< null when single-threaded
 };
 

@@ -37,8 +37,6 @@ struct CacheMetrics
     metrics::Counter &hits = metrics::counter("trace_cache.hits");
     metrics::Counter &misses = metrics::counter("trace_cache.misses");
     metrics::Counter &stores = metrics::counter("trace_cache.stores");
-    metrics::Counter &upgrades =
-        metrics::counter("trace_cache.upgrades");
     metrics::Counter &checksumFailures =
         metrics::counter("trace_cache.checksum_failures");
     metrics::Counter &quarantines =
@@ -332,20 +330,6 @@ TraceCache::load(const std::string &workload, std::size_t records,
         ++counters.misses;
         return false;
     }
-    if (report.version < kTraceFormatV3) {
-        // Legacy entry: repair in place so the next load verifies
-        // checksums. A failed rewrite is harmless — the old file
-        // stays behind and keeps serving hits.
-        if (store(workload, records, out)) {
-            prophet_infof("trace-cache: upgraded %s v%u -> v%u",
-                          file.c_str(), report.version,
-                          kTraceFormatV3);
-            CacheMetrics::get().upgrades.inc();
-            std::lock_guard<std::mutex> lock(mu);
-            ++counters.upgrades;
-            --counters.stores; // the rewrite is not a caller store
-        }
-    }
     prophet_infof("trace-cache: hit %s (%zu records) <- %s",
                   workload.c_str(), out.size(), file.c_str());
     CacheMetrics::get().hits.inc();
@@ -368,7 +352,7 @@ TraceCache::store(const std::string &workload, std::size_t records,
     // directory. The temp+rename protocol below is atomic on its
     // own; the lock keeps concurrent writers of the *same* entry
     // from doing redundant 100 MB writes and protects the
-    // upgrade-rewrite and counter-file read-modify-writes.
+    // counter-file read-modify-writes.
     DirLock lock(dirPath);
     if (lock.contended()) {
         CacheMetrics::get().lockContention.inc();

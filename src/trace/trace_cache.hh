@@ -14,8 +14,8 @@
  *    processes sharing the directory (advisory, auto-released on
  *    process death — no stale-lock recovery needed);
  *  - entries are stored in the checksummed v3 format and verified on
- *    load; a damaged entry (bad header, truncation, checksum
- *    mismatch) is *quarantined* — renamed to "<entry>.corrupt" — so
+ *    load; a damaged entry (bad header — including a retired v1/v2
+ *    header — truncation, checksum mismatch) is *quarantined* — renamed to "<entry>.corrupt" — so
  *    the evidence survives for inspection while the caller
  *    regenerates a good entry under the original name;
  *  - checksum-failure, quarantine, lock-contention, and
@@ -55,9 +55,6 @@ class TraceCache
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t stores = 0;
-
-        /** Legacy (v1/v2) entries rewritten as v3 on load. */
-        std::uint64_t upgrades = 0;
 
         /** Entries whose v3 array checksum failed verification. */
         std::uint64_t checksumFailures = 0;
@@ -122,10 +119,8 @@ class TraceCache
      * quarantined (renamed to "<entry>.corrupt") so the next run
      * regenerates it while the bad bytes stay inspectable. A hit is
      * logged to stderr so cache effectiveness is observable without
-     * changing stdout. A hit on a legacy v1/v2 entry is
-     * transparently repaired: the loaded trace is re-stored in the
-     * current checksummed (v3) format, so old cache directories
-     * upgrade in place.
+     * changing stdout. An entry in a retired format (v1/v2) is a bad
+     * header like any other: quarantined and regenerated as v3.
      */
     bool load(const std::string &workload, std::size_t records,
               Trace &out);

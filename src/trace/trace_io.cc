@@ -1,11 +1,9 @@
 #include "trace/trace_io.hh"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/checksum.hh"
 #include "common/fault_injection.hh"
@@ -18,25 +16,14 @@ namespace
 
 constexpr char kMagic[4] = {'P', 'T', 'R', 'C'};
 
-/** Bytes before the payload in the v1/v2 formats. */
+/** Bytes of magic, version and count. */
 constexpr long kHeaderBytes = 16;
 
-/** v3 adds three u64 array checksums after the common header. */
+/** The full v3 header: three u64 array checksums follow. */
 constexpr long kV3HeaderBytes =
     kHeaderBytes + 3 * static_cast<long>(sizeof(std::uint64_t));
 
-/** Packed v1 on-disk record (fixed layout, little-endian hosts). */
-struct PackedRecord
-{
-    std::uint64_t pc;
-    std::uint64_t addr;
-    std::uint16_t instGap;
-    std::uint8_t flags; // bit0 depends, bit1 write
-    std::uint8_t pad;
-    // + 2 trailing padding bytes to the 8-byte alignment
-};
-
-/** Per-record payload bytes of the v2/v3 SoA formats. */
+/** Per-record payload bytes of the SoA format. */
 constexpr std::uint64_t kSoaRecordBytes =
     sizeof(std::uint64_t) * 2 + sizeof(std::uint32_t);
 
@@ -105,25 +92,23 @@ payloadRecords(std::FILE *f, long header_bytes,
 }
 
 /**
- * Shared v2/v3 SoA payload reader. For v3, @p checksums holds the
- * three header checksums and each array is verified after the bulk
- * read; a mismatch reports ChecksumMismatch at the offending
- * array's offset.
+ * The SoA payload reader. @p checksums holds the three header
+ * checksums and each array is verified after the bulk read; a
+ * mismatch reports ChecksumMismatch at the offending array's offset.
  */
 void
 loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
-        long header_bytes, const std::uint64_t *checksums,
-        LoadReport &report)
+        const std::uint64_t *checksums, LoadReport &report)
 {
     std::uint64_t max_records = 0;
-    if (!payloadRecords(f, header_bytes, kSoaRecordBytes,
+    if (!payloadRecords(f, kV3HeaderBytes, kSoaRecordBytes,
                         max_records)) {
         report.status = LoadStatus::Truncated;
         return;
     }
     if (count > max_records) {
         report.status = LoadStatus::Truncated;
-        report.offset = static_cast<std::uint64_t>(header_bytes);
+        report.offset = static_cast<std::uint64_t>(kV3HeaderBytes);
         return;
     }
     // BulkVector sizing leaves the elements uninitialized: fread is
@@ -141,7 +126,7 @@ loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
         {addrs.data(), sizeof(Addr)},
         {metas.data(), sizeof(std::uint32_t)},
     };
-    std::uint64_t offset = static_cast<std::uint64_t>(header_bytes);
+    std::uint64_t offset = static_cast<std::uint64_t>(kV3HeaderBytes);
     for (int a = 0; a < 3; ++a) {
         if (count > 0
             && injectedFread(arrays[a].data, arrays[a].elemSize,
@@ -151,93 +136,17 @@ loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
             report.offset = offset;
             return;
         }
-        if (checksums) {
-            std::uint64_t sum = fnv1a64(
-                arrays[a].data, arrays[a].elemSize * count);
-            if (sum != checksums[a]) {
-                report.status = LoadStatus::ChecksumMismatch;
-                report.offset = offset;
-                return;
-            }
+        std::uint64_t sum =
+            fnv1a64(arrays[a].data, arrays[a].elemSize * count);
+        if (sum != checksums[a]) {
+            report.status = LoadStatus::ChecksumMismatch;
+            report.offset = offset;
+            return;
         }
         offset += arrays[a].elemSize * count;
     }
     out.adopt(std::move(pcs), std::move(addrs), std::move(metas));
     report.status = LoadStatus::Ok;
-}
-
-void
-loadV1(Trace &out, std::FILE *f, std::uint64_t count,
-       LoadReport &report)
-{
-    std::uint64_t max_records = 0;
-    if (!payloadRecords(f, kHeaderBytes, sizeof(PackedRecord),
-                        max_records)
-        || count > max_records) {
-        report.status = LoadStatus::Truncated;
-        return;
-    }
-    out.reserve(count);
-    // Bulk-read in chunks: the dominant cost of the old loader was
-    // one fread call per record.
-    constexpr std::size_t kChunk = 4096;
-    std::vector<PackedRecord> buf(
-        std::min<std::uint64_t>(count, kChunk));
-    std::uint64_t done = 0;
-    while (done < count) {
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(count - done, kChunk));
-        if (injectedFread(buf.data(), sizeof(PackedRecord), want, f)
-            != want) {
-            report.status = LoadStatus::ReadFail;
-            report.offset = static_cast<std::uint64_t>(kHeaderBytes)
-                + done * sizeof(PackedRecord);
-            return;
-        }
-        for (std::size_t i = 0; i < want; ++i) {
-            const PackedRecord &p = buf[i];
-            out.append(p.pc, p.addr, p.instGap, p.flags & 1,
-                       p.flags & 2);
-        }
-        done += want;
-    }
-    report.status = LoadStatus::Ok;
-}
-
-bool
-saveSoa(const Trace &t, const std::string &path,
-        std::uint32_t version)
-{
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        return false;
-    const std::uint64_t count = t.size();
-    if (!writeHeader(f.get(), version, count))
-        return false;
-    if (version >= kTraceFormatV3) {
-        const std::uint64_t checksums[3] = {
-            fnv1a64(t.pcData(), sizeof(PC) * count),
-            fnv1a64(t.addrData(), sizeof(Addr) * count),
-            fnv1a64(t.metaData(), sizeof(std::uint32_t) * count),
-        };
-        if (injectedFwrite(checksums, sizeof(std::uint64_t), 3,
-                           f.get())
-            != 3)
-            return false;
-    }
-    if (count == 0)
-        return true;
-    if (injectedFwrite(t.pcData(), sizeof(PC), count, f.get())
-        != count)
-        return false;
-    if (injectedFwrite(t.addrData(), sizeof(Addr), count, f.get())
-        != count)
-        return false;
-    if (injectedFwrite(t.metaData(), sizeof(std::uint32_t), count,
-                       f.get())
-        != count)
-        return false;
-    return true;
 }
 
 } // anonymous namespace
@@ -265,39 +174,32 @@ loadStatusName(LoadStatus status)
 bool
 saveBinary(const Trace &t, const std::string &path)
 {
-    return saveSoa(t, path, kTraceFormatV3);
-}
-
-bool
-saveBinaryV2(const Trace &t, const std::string &path)
-{
-    return saveSoa(t, path, kTraceFormatV2);
-}
-
-bool
-saveBinaryV1(const Trace &t, const std::string &path)
-{
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)
         return false;
     const std::uint64_t count = t.size();
-    if (!writeHeader(f.get(), kTraceFormatV1, count))
+    if (!writeHeader(f.get(), kTraceFormatV3, count))
         return false;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const TraceRecord rec = t[i];
-        // memset covers the tail padding sizeof leaves after `pad`:
-        // brace-init zeroes members but not padding bytes, which
-        // would leak uninitialized stack bytes into the file.
-        PackedRecord p;
-        std::memset(&p, 0, sizeof(p));
-        p.pc = rec.pc;
-        p.addr = rec.addr;
-        p.instGap = rec.instGap;
-        p.flags = static_cast<std::uint8_t>(
-            (rec.dependsOnPrev ? 1 : 0) | (rec.isWrite ? 2 : 0));
-        if (injectedFwrite(&p, sizeof(p), 1, f.get()) != 1)
-            return false;
-    }
+    const std::uint64_t checksums[3] = {
+        fnv1a64(t.pcData(), sizeof(PC) * count),
+        fnv1a64(t.addrData(), sizeof(Addr) * count),
+        fnv1a64(t.metaData(), sizeof(std::uint32_t) * count),
+    };
+    if (injectedFwrite(checksums, sizeof(std::uint64_t), 3, f.get())
+        != 3)
+        return false;
+    if (count == 0)
+        return true;
+    if (injectedFwrite(t.pcData(), sizeof(PC), count, f.get())
+        != count)
+        return false;
+    if (injectedFwrite(t.addrData(), sizeof(Addr), count, f.get())
+        != count)
+        return false;
+    if (injectedFwrite(t.metaData(), sizeof(std::uint32_t), count,
+                       f.get())
+        != count)
+        return false;
     return true;
 }
 
@@ -328,23 +230,21 @@ loadBinary(Trace &out, const std::string &path, LoadReport &report)
     }
     report.version = version;
 
-    if (version == kTraceFormatV3) {
+    // Any other version — including the retired v1/v2 — is a bad
+    // header: the caller (the trace cache) treats it like any other
+    // unreadable entry and regenerates.
+    if (version != kTraceFormatV3) {
+        report.status = LoadStatus::BadHeader;
+        report.offset = 4; // the version field
+    } else {
         std::uint64_t checksums[3];
         if (std::fread(checksums, sizeof(std::uint64_t), 3, f.get())
             != 3) {
             report.status = LoadStatus::BadHeader;
             report.offset = static_cast<std::uint64_t>(kHeaderBytes);
         } else {
-            loadSoa(out, f.get(), count, kV3HeaderBytes, checksums,
-                    report);
+            loadSoa(out, f.get(), count, checksums, report);
         }
-    } else if (version == kTraceFormatV2) {
-        loadSoa(out, f.get(), count, kHeaderBytes, nullptr, report);
-    } else if (version == kTraceFormatV1) {
-        loadV1(out, f.get(), count, report);
-    } else {
-        report.status = LoadStatus::BadHeader;
-        report.offset = 4; // the version field
     }
     if (!report.ok()) {
         out = Trace{};
@@ -354,15 +254,10 @@ loadBinary(Trace &out, const std::string &path, LoadReport &report)
 }
 
 bool
-loadBinary(Trace &out, const std::string &path,
-           std::uint32_t *version_out)
+loadBinary(Trace &out, const std::string &path)
 {
     LoadReport report;
-    if (!loadBinary(out, path, report))
-        return false;
-    if (version_out)
-        *version_out = report.version;
-    return true;
+    return loadBinary(out, path, report);
 }
 
 bool

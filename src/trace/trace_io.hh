@@ -11,10 +11,9 @@
  * three bulk fwrite calls instead of one per record. Loads read the
  * arrays back the same way and verify every checksum, so a
  * bit-flipped or torn entry is detected deterministically instead of
- * only when the header happens to be implausible. v2 (same layout,
- * no checksums) and v1 (packed array-of-structs records) files
- * remain loadable; loadBinary reports which version it read so the
- * trace cache can transparently repair old entries.
+ * only when the header happens to be implausible. v3 is the only
+ * format: an older (v1/v2) header loads as BadHeader, which the trace
+ * cache treats like any other damaged entry and regenerates.
  *
  * | v3 layout | bytes        | content                              |
  * |-----------|--------------|--------------------------------------|
@@ -43,9 +42,7 @@
 namespace prophet::trace
 {
 
-/** Binary-format versions loadBinary understands. */
-constexpr std::uint32_t kTraceFormatV1 = 1;
-constexpr std::uint32_t kTraceFormatV2 = 2;
+/** The binary-format version saveBinary writes and loadBinary reads. */
 constexpr std::uint32_t kTraceFormatV3 = 3;
 
 /** Why a binary load failed (or that it didn't). */
@@ -92,28 +89,10 @@ struct LoadReport
 bool saveBinary(const Trace &t, const std::string &path);
 
 /**
- * Write a trace in the legacy v2 format (bulk SoA arrays, no
- * checksums). Kept so backward-compatibility tests can fabricate
- * old cache entries.
+ * Read a binary trace written by saveBinary. Returns an empty trace
+ * and false on failure or format mismatch.
  */
-bool saveBinaryV2(const Trace &t, const std::string &path);
-
-/**
- * Write a trace in the legacy v1 format (packed 24-byte records).
- * Kept so backward-compatibility tests can fabricate old files; the
- * struct's tail padding is explicitly zeroed, so output is
- * deterministic byte-for-byte.
- */
-bool saveBinaryV1(const Trace &t, const std::string &path);
-
-/**
- * Read a binary trace written by any of the savers above. Returns
- * an empty trace and false on failure or format mismatch. When
- * @p version_out is non-null and the load succeeds, it receives the
- * format version the file used.
- */
-bool loadBinary(Trace &out, const std::string &path,
-                std::uint32_t *version_out = nullptr);
+bool loadBinary(Trace &out, const std::string &path);
 
 /**
  * As loadBinary, but reports *why* a load failed: the trace cache

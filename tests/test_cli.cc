@@ -1,0 +1,143 @@
+/**
+ * @file
+ * Tests for the `prophet` CLI's flag scoping, run against the built
+ * binary: every flag is accepted only by the subcommands that read
+ * it, so a flag is never silently ignored, while the flag sets that
+ * scripts and CI pass keep working.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <sys/wait.h>
+#include <unistd.h>
+
+namespace fs = std::filesystem;
+
+namespace
+{
+
+struct Outcome
+{
+    int exitCode = -1;
+    std::string output; ///< stdout and stderr, interleaved
+};
+
+/** Run `prophet <args>` in @p cwd through the shell. */
+Outcome
+prophet(const std::string &args, const std::string &cwd = ".")
+{
+    const std::string cmd = "cd '" + cwd + "' && '" PROPHET_CLI "' "
+        + args + " 2>&1";
+    Outcome out;
+    std::FILE *p = ::popen(cmd.c_str(), "r");
+    if (!p)
+        return out;
+    char buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0)
+        out.output.append(buf, n);
+    int status = ::pclose(p);
+    if (WIFEXITED(status))
+        out.exitCode = WEXITSTATUS(status);
+    return out;
+}
+
+class CliTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir = (fs::temp_directory_path()
+               / ("prophet_cli_test_" + std::to_string(::getpid())))
+                  .string();
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        std::ofstream(dir + "/tiny.json")
+            << R"({"name": "tiny", "workloads": ["mcf"],
+                   "pipelines": ["baseline"], "metrics": ["ipc"],
+                   "records": 5000, "sinks": [{"type": "table"}]})";
+    }
+
+    void TearDown() override { fs::remove_all(dir); }
+
+    std::string dir;
+};
+
+TEST_F(CliTest, FlagOfAnotherSubcommandIsAUsageError)
+{
+    struct Case
+    {
+        const char *args;
+        const char *flag;
+        const char *command;
+    };
+    const Case cases[] = {
+        {"serve --socket s --threads 4", "--threads", "prophet serve"},
+        {"run tiny.json --socket s", "--socket", "prophet run"},
+        {"serve --socket s --keep-going", "--keep-going",
+         "prophet serve"},
+        {"trace-cache stats --records 5", "--records",
+         "prophet trace-cache stats"},
+        {"trace-cache warm mcf --metrics-out m.json", "--metrics-out",
+         "prophet trace-cache warm"},
+        {"trace-cache warm mcf --no-trace-cache", "--no-trace-cache",
+         "prophet trace-cache warm"},
+        {"client ping --socket s --deadline 3", "--deadline",
+         "prophet client ping"},
+        {"client run tiny.json --socket s --threads=2", "--threads",
+         "prophet client run"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.args);
+        Outcome o = prophet(c.args, dir);
+        EXPECT_EQ(o.exitCode, 2) << o.output;
+        EXPECT_NE(o.output.find(c.flag), std::string::npos) << o.output;
+        EXPECT_NE(o.output.find(c.command), std::string::npos)
+            << o.output;
+    }
+}
+
+TEST_F(CliTest, MalformedFlagsAreUsageErrors)
+{
+    for (const char *args :
+         {"run tiny.json --bogus", "run tiny.json --threads",
+          "run tiny.json --threads=abc", "run tiny.json --threads -1",
+          "run tiny.json --records 99999999999999999999",
+          "run tiny.json --job-timeout nan", "run tiny.json --progress=1",
+          "trace-cache stats extra", "serve --socket s extra"}) {
+        SCOPED_TRACE(args);
+        Outcome o = prophet(args, dir);
+        EXPECT_EQ(o.exitCode, 2) << o.output;
+    }
+}
+
+TEST_F(CliTest, ScriptedFlagSetsStillRun)
+{
+    // The flag sets the benchmark harness and CI pass.
+    Outcome warm = prophet("trace-cache warm tiny.json mcf --threads 1 "
+                           "--records 5000 --trace-cache-dir cache",
+                           dir);
+    EXPECT_EQ(warm.exitCode, 0) << warm.output;
+
+    Outcome run = prophet("run tiny.json --threads 2 --records 5000 "
+                          "--trace-cache-dir cache "
+                          "--metrics-out=metrics.json",
+                          dir);
+    EXPECT_EQ(run.exitCode, 0) << run.output;
+    EXPECT_NE(run.output.find("== tiny:"), std::string::npos);
+    EXPECT_TRUE(fs::exists(dir + "/metrics.json"));
+
+    Outcome stats =
+        prophet("trace-cache stats --trace-cache-dir cache", dir);
+    EXPECT_EQ(stats.exitCode, 0) << stats.output;
+    EXPECT_NE(stats.output.find("format v3: 1 entry"),
+              std::string::npos)
+        << stats.output;
+}
+
+} // anonymous namespace

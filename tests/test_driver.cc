@@ -160,31 +160,83 @@ TEST_F(DriverTest, JsonSinkMatchesDirectRunnerBitForBit)
               smokeSpec(out_path).resultHash(kRecords));
 }
 
+void
+expectStatsEq(const sim::RunStats &a, const sim::RunStats &b)
+{
+    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not just approximate
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.records, b.records);
+    EXPECT_EQ(a.l1Misses, b.l1Misses);
+    EXPECT_EQ(a.l2DemandAccesses, b.l2DemandAccesses);
+    EXPECT_EQ(a.l2DemandMisses, b.l2DemandMisses);
+    EXPECT_EQ(a.llcMisses, b.llcMisses);
+    EXPECT_EQ(a.l2PrefetchesIssued, b.l2PrefetchesIssued);
+    EXPECT_EQ(a.l2PrefetchesUseful, b.l2PrefetchesUseful);
+    EXPECT_EQ(a.latePrefetches, b.latePrefetches);
+    EXPECT_EQ(a.dramReads, b.dramReads);
+    EXPECT_EQ(a.dramWrites, b.dramWrites);
+    EXPECT_EQ(a.dramPrefetchReads, b.dramPrefetchReads);
+    EXPECT_EQ(a.markov.lookups, b.markov.lookups);
+    EXPECT_EQ(a.markov.hits, b.markov.hits);
+    EXPECT_EQ(a.markov.inserts, b.markov.inserts);
+    EXPECT_EQ(a.markov.updates, b.markov.updates);
+    EXPECT_EQ(a.markov.replacements, b.markov.replacements);
+    EXPECT_EQ(a.markov.resizeDrops, b.markov.resizeDrops);
+    EXPECT_EQ(a.finalMetadataWays, b.finalMetadataWays);
+    EXPECT_EQ(a.offchipMeta.metadataReads, b.offchipMeta.metadataReads);
+    EXPECT_EQ(a.offchipMeta.metadataWrites,
+              b.offchipMeta.metadataWrites);
+    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
+    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
+    EXPECT_EQ(a.pcMisses, b.pcMisses);
+}
+
+/**
+ * The headline trio — RPG2 identify/tune (its binary-search runs),
+ * Triangel, and Prophet profile/analyze/run — on a SPEC and a graph
+ * workload (where RPG2 finds kernels).
+ */
+ExperimentSpec
+trioSpec()
+{
+    json::Value doc;
+    EXPECT_TRUE(json::parse(
+        "{\"name\": \"trio\","
+        " \"workloads\": [\"sphinx3\", \"sssp_100000_5\"],"
+        " \"pipelines\": [\"rpg2\", \"triangel\", \"prophet\"],"
+        " \"metrics\": [\"speedup\", \"coverage\"],"
+        " \"records\": 60000, \"trace_cache\": false}",
+        doc, nullptr));
+    return ExperimentSpec::fromJson(doc);
+}
+
 TEST_F(DriverTest, ResultsIndependentOfThreadCount)
 {
-    std::string p1 = dir + "/t1.json", p4 = dir + "/t4.json";
-    DriverOptions o1, o4;
-    o1.threads = 1;
-    o4.threads = 4;
-    ExperimentDriver d1(smokeSpec(p1), o1);
-    ExperimentDriver d4(smokeSpec(p4), o4);
-    auto r1 = d1.run();
-    auto r4 = d4.run();
-    ASSERT_EQ(r1.results.size(), r4.results.size());
-    for (std::size_t i = 0; i < r1.results.size(); ++i) {
-        EXPECT_EQ(r1.results[i].workload, r4.results[i].workload);
-        EXPECT_EQ(r1.results[i].pipeline, r4.results[i].pipeline);
-        EXPECT_EQ(r1.results[i].stats.ipc, r4.results[i].stats.ipc);
-        EXPECT_EQ(r1.results[i].stats.cycles,
-                  r4.results[i].stats.cycles);
-        EXPECT_EQ(r1.results[i].stats.dramReads,
-                  r4.results[i].stats.dramReads);
-        ASSERT_EQ(r1.results[i].metrics.size(),
-                  r4.results[i].metrics.size());
-        for (std::size_t m = 0; m < r1.results[i].metrics.size();
-             ++m)
-            EXPECT_EQ(r1.results[i].metrics[m].second,
-                      r4.results[i].metrics[m].second);
+    // Serially and on 4 threads, every job must agree on every
+    // statistic and metric bit for bit.
+    for (bool trio : {false, true}) {
+        SCOPED_TRACE(trio ? "trio" : "smoke");
+        auto spec = [&] {
+            return trio ? trioSpec() : smokeSpec(dir + "/e2e.json");
+        };
+        DriverOptions o1, o4;
+        o1.threads = 1;
+        o4.threads = 4;
+        auto r1 = ExperimentDriver(spec(), o1).run();
+        auto r4 = ExperimentDriver(spec(), o4).run();
+        ASSERT_EQ(r1.results.size(), 6u);
+        ASSERT_EQ(r4.results.size(), 6u);
+        for (std::size_t i = 0; i < r1.results.size(); ++i) {
+            const JobResult &a = r1.results[i], &b = r4.results[i];
+            SCOPED_TRACE(a.workload + "/" + a.pipeline);
+            ASSERT_TRUE(a.ok && b.ok);
+            EXPECT_EQ(a.workload, b.workload);
+            EXPECT_EQ(a.pipeline, b.pipeline);
+            expectStatsEq(a.stats, b.stats);
+            EXPECT_EQ(a.metrics, b.metrics);
+        }
     }
 }
 

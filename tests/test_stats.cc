@@ -1,14 +1,11 @@
 /**
  * @file
- * Unit tests for the statistics substrate: histograms (Figure 8's
- * Markov-target distribution), geometric means (every speedup
- * figure), and table rendering.
+ * Unit tests for the statistics substrate: geometric means (every
+ * speedup figure) and table rendering.
  */
 
 #include <gtest/gtest.h>
 
-#include "stats/counter.hh"
-#include "stats/histogram.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 
@@ -16,56 +13,6 @@ namespace prophet::stats
 {
 namespace
 {
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(4);
-    h.add(0);
-    h.add(1);
-    h.add(1);
-    h.add(3);
-    h.add(10); // overflow -> last bucket
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 2u);
-    EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, Fractions)
-{
-    Histogram h(3);
-    for (int i = 0; i < 3; ++i)
-        h.add(0);
-    h.add(1);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.75);
-    EXPECT_DOUBLE_EQ(h.fraction(1), 0.25);
-    EXPECT_DOUBLE_EQ(h.fraction(2), 0.0);
-}
-
-TEST(Histogram, EmptyFractionIsZero)
-{
-    Histogram h(2);
-    EXPECT_DOUBLE_EQ(h.fraction(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
-TEST(Histogram, MeanCapsOverflow)
-{
-    Histogram h(4);
-    h.add(100); // counted as 3
-    h.add(1);
-    EXPECT_DOUBLE_EQ(h.mean(), 2.0);
-}
-
-TEST(Histogram, Reset)
-{
-    Histogram h(2);
-    h.add(0);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.bucket(0), 0u);
-}
 
 TEST(Summary, GeomeanBasics)
 {
@@ -87,18 +34,6 @@ TEST(Summary, WeightedMean)
     EXPECT_DOUBLE_EQ(weightedMean({1.0, 3.0}, {1.0, 1.0}), 2.0);
     EXPECT_DOUBLE_EQ(weightedMean({1.0, 3.0}, {3.0, 1.0}), 1.5);
     EXPECT_DOUBLE_EQ(weightedMean({5.0}, {0.0}), 0.0);
-}
-
-TEST(CounterGroup, CreatesOnDemand)
-{
-    CounterGroup g;
-    EXPECT_EQ(g.get("x"), 0u);
-    g["x"] += 3;
-    EXPECT_EQ(g.get("x"), 3u);
-    EXPECT_EQ(g.size(), 1u);
-    g.reset();
-    EXPECT_EQ(g.get("x"), 0u);
-    EXPECT_EQ(g.size(), 1u); // names persist
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -162,61 +162,61 @@ TEST_F(TraceCacheTest, StoresWriteTheV3ChecksummedFormat)
     TraceCache cache(dir);
     ASSERT_TRUE(cache.store("mcf", kRecords, fresh));
 
-    std::uint32_t version = 0;
+    LoadReport report;
     Trace loaded;
     ASSERT_TRUE(loadBinary(loaded, cache.path("mcf", kRecords),
-                           &version));
-    EXPECT_EQ(version, kTraceFormatV3);
+                           report));
+    EXPECT_EQ(report.version, kTraceFormatV3);
     expectTraceEq(fresh, loaded);
     auto entries = cache.entries();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].version, kTraceFormatV3);
 }
 
-TEST_F(TraceCacheTest, V1EntryLoadsAndIsUpgradedInPlace)
+TEST_F(TraceCacheTest, RetiredFormatEntryMissesAndIsRegeneratedAsV3)
 {
+    // The cache holds derived data, so an entry in a retired format
+    // (v1 packed records, v2 unchecksummed arrays) is not read: its
+    // header is bad, the entry is quarantined, and the Runner
+    // regenerates and stores it as v3.
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();
-    TraceCache cache(dir);
-    // Fabricate a legacy cache directory: one v1 entry under the
-    // current key.
-    fs::create_directories(dir);
-    ASSERT_TRUE(saveBinaryV1(fresh, cache.path("mcf", kRecords)));
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV1);
+    for (std::uint32_t version : {1u, 2u}) {
+        SCOPED_TRACE(version);
+        fs::remove_all(dir);
+        fs::create_directories(dir);
+        auto cache = std::make_shared<TraceCache>(dir);
+        auto path = cache->path("mcf", kRecords);
+        {
+            // Header bytes by hand: magic, version, record count,
+            // then a payload of the size the old format implied.
+            const std::uint64_t count = kRecords;
+            std::ofstream f(path, std::ios::binary);
+            f.write("PTRC", 4);
+            f.write(reinterpret_cast<const char *>(&version), 4);
+            f.write(reinterpret_cast<const char *>(&count), 8);
+            f << std::string(count * (version == 1 ? 24 : 20), '\0');
+        }
+        ASSERT_EQ(cache->entries().at(0).version, version);
 
-    // The v1 fallback serves the hit...
-    Trace out;
-    ASSERT_TRUE(cache.load("mcf", kRecords, out));
-    expectTraceEq(fresh, out);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().upgrades, 1u);
-    // A repair rewrite is not a caller-visible store.
-    EXPECT_EQ(cache.stats().stores, 0u);
+        Trace out;
+        EXPECT_FALSE(cache->load("mcf", kRecords, out));
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(cache->stats().hits, 0u);
+        EXPECT_EQ(cache->stats().quarantines, 1u);
+        EXPECT_EQ(cache->stats().checksumFailures, 0u);
+        EXPECT_EQ(cache->quarantined().size(), 1u);
+        EXPECT_TRUE(cache->entries().empty());
 
-    // ...and repairs the entry to the current checksummed format,
-    // byte-compatible with a fresh store.
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV3);
-    Trace again;
-    ASSERT_TRUE(cache.load("mcf", kRecords, again));
-    expectTraceEq(fresh, again);
-    EXPECT_EQ(cache.stats().upgrades, 1u);
-}
-
-TEST_F(TraceCacheTest, V2EntryLoadsAndIsUpgradedInPlace)
-{
-    Trace fresh =
-        workloads::makeWorkload("mcf", kRecords)->generate();
-    TraceCache cache(dir);
-    fs::create_directories(dir);
-    ASSERT_TRUE(saveBinaryV2(fresh, cache.path("mcf", kRecords)));
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV2);
-
-    Trace out;
-    ASSERT_TRUE(cache.load("mcf", kRecords, out));
-    expectTraceEq(fresh, out);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().upgrades, 1u);
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV3);
+        sim::Runner runner(sim::SystemConfig::table1(), kRecords);
+        runner.setTraceCache(cache);
+        expectTraceEq(fresh, runner.traceFor("mcf"));
+        EXPECT_EQ(cache->stats().stores, 1u);
+        ASSERT_EQ(cache->entries().size(), 1u);
+        EXPECT_EQ(cache->entries()[0].version, kTraceFormatV3);
+        ASSERT_TRUE(cache->load("mcf", kRecords, out));
+        expectTraceEq(fresh, out);
+    }
 }
 
 TEST_F(TraceCacheTest, BitFlippedEntryIsQuarantinedThenRegenerated)
@@ -323,7 +323,7 @@ TEST_F(TraceCacheTest, PersistentCountersAccumulateAcrossInstances)
     EXPECT_EQ(cache.persistentCounters().storeFailures, 1u);
 }
 
-TEST_F(TraceCacheTest, TruncatedV2EntryFallsBackAndRepairs)
+TEST_F(TraceCacheTest, TruncatedArrayEntryFallsBackAndRepairs)
 {
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <vector>
 #include <unistd.h>
 
 #include "common/fault_injection.hh"
@@ -49,22 +48,9 @@ TEST(TraceIo, BinaryRoundTrip)
     const char *path = "/tmp/prophet_test_trace.bin";
     ASSERT_TRUE(trace::saveBinary(t, path));
     trace::Trace loaded;
-    std::uint32_t version = 0;
-    ASSERT_TRUE(trace::loadBinary(loaded, path, &version));
-    EXPECT_EQ(version, trace::kTraceFormatV3);
-    expectEqual(t, loaded);
-    std::remove(path);
-}
-
-TEST(TraceIo, LegacyV2FilesStillLoad)
-{
-    auto t = sampleTrace();
-    const char *path = "/tmp/prophet_test_trace_v2.bin";
-    ASSERT_TRUE(trace::saveBinaryV2(t, path));
-    trace::Trace loaded;
-    std::uint32_t version = 0;
-    ASSERT_TRUE(trace::loadBinary(loaded, path, &version));
-    EXPECT_EQ(version, trace::kTraceFormatV2);
+    trace::LoadReport report;
+    ASSERT_TRUE(trace::loadBinary(loaded, path, report));
+    EXPECT_EQ(report.version, trace::kTraceFormatV3);
     expectEqual(t, loaded);
     std::remove(path);
 }
@@ -132,49 +118,7 @@ TEST(TraceIo, InjectedWriteFaultFailsTheSave)
     std::remove(path);
 }
 
-TEST(TraceIo, LegacyV1FilesStillLoad)
-{
-    auto t = sampleTrace();
-    const char *path = "/tmp/prophet_test_trace_v1.bin";
-    ASSERT_TRUE(trace::saveBinaryV1(t, path));
-    trace::Trace loaded;
-    std::uint32_t version = 0;
-    ASSERT_TRUE(trace::loadBinary(loaded, path, &version));
-    EXPECT_EQ(version, trace::kTraceFormatV1);
-    expectEqual(t, loaded);
-    std::remove(path);
-}
-
-TEST(TraceIo, V1WriterOutputIsDeterministic)
-{
-    // The v1 packed record has 4 padding bytes (2 internal via `pad`,
-    // 2 trailing); both writes must produce identical bytes, or cache
-    // files would differ run to run (and trip MSAN/valgrind).
-    auto t = sampleTrace();
-    const char *p1 = "/tmp/prophet_test_det1.bin";
-    const char *p2 = "/tmp/prophet_test_det2.bin";
-    ASSERT_TRUE(trace::saveBinaryV1(t, p1));
-    ASSERT_TRUE(trace::saveBinaryV1(t, p2));
-    auto slurp = [](const char *p) {
-        std::FILE *f = std::fopen(p, "rb");
-        EXPECT_NE(f, nullptr);
-        std::vector<unsigned char> bytes;
-        int c;
-        while ((c = std::fgetc(f)) != EOF)
-            bytes.push_back(static_cast<unsigned char>(c));
-        std::fclose(f);
-        return bytes;
-    };
-    auto b1 = slurp(p1), b2 = slurp(p2);
-    EXPECT_FALSE(b1.empty());
-    EXPECT_EQ(b1, b2);
-    // 16-byte header + 24 bytes per record.
-    EXPECT_EQ(b1.size(), 16u + 24u * t.size());
-    std::remove(p1);
-    std::remove(p2);
-}
-
-TEST(TraceIo, TruncatedV2PayloadRejected)
+TEST(TraceIo, TruncatedPayloadRejected)
 {
     auto t = sampleTrace();
     const char *path = "/tmp/prophet_test_trunc.bin";

@@ -15,7 +15,9 @@
  *   prophet trace-cache stats [--trace-cache-dir DIR]
  *
  * `run` executes a spec and streams results to its sinks; CLI flags
- * override the spec's thread/record counts and failure policy.
+ * override the spec's thread/record counts and failure policy. Each
+ * flag is scoped to the subcommands that read it (kFlags): passing it
+ * to any other subcommand is a usage error (exit 2), never ignored.
  * `trace-cache warm` pre-generates the traces a spec (or an explicit
  * workload list) needs, so subsequent runs skip generation.
  *
@@ -48,8 +50,8 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/pipelines.hh"
-#include "trace/trace_io.hh"
 #include "sim/sweep.hh"
+#include "trace/trace_cache.hh"
 #include "workloads/registry.hh"
 
 namespace
@@ -113,8 +115,8 @@ usage()
         "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
         "  client run <spec.json> --socket PATH [--deadline SEC]\n"
         "      [--timeout-ms N]\n"
-        "  client health --socket PATH\n"
-        "  client ping --socket PATH\n"
+        "  client health --socket PATH [--timeout-ms N]\n"
+        "  client ping --socket PATH [--timeout-ms N]\n"
         "\n"
         "observability (run; all off by default — outputs are\n"
         "byte-identical to a run without these flags):\n"
@@ -166,7 +168,7 @@ usage()
     return 2;
 }
 
-/** Shared flag state across subcommands. */
+/** Flag state, filled by parseFlags for one subcommand. */
 struct Flags
 {
     driver::DriverOptions opts;
@@ -175,198 +177,196 @@ struct Flags
     /** --resume: journal at <spec>.journal (path known post-parse). */
     bool resume = false;
 
-    // serve / client flags (ignored by the other subcommands).
-    std::string socketPath;          ///< --socket (required)
-    serve::ServeOptions serveOpts;   ///< daemon knobs
-    double clientDeadlineS = 0.0;    ///< client run --deadline
-    int clientTimeoutMs = -1;        ///< client --timeout-ms
+    std::string socketPath;          ///< --socket (serve, client)
+    serve::ServeOptions serveOpts;   ///< daemon knobs (serve)
+    double clientDeadlineS = 0.0;    ///< --deadline (client run)
+    int clientTimeoutMs = -1;        ///< --timeout-ms (client)
 };
 
-bool
-parseFlags(int argc, char **argv, int from, Flags &flags)
+/**
+ * The subcommands, as bits. Every flag names the subcommands that
+ * read it; any other use is a usage error, so no flag is ever
+ * accepted and silently ignored.
+ */
+enum : unsigned
 {
-    auto needValue = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "prophet: %s needs a value\n", flag);
-            return nullptr;
+    kRun = 1u << 0,
+    kServe = 1u << 1,
+    kClientRun = 1u << 2,
+    kClientProbe = 1u << 3, ///< client health / client ping
+    kWarm = 1u << 4,
+    kCacheAdmin = 1u << 5, ///< trace-cache clear / stats
+};
+constexpr unsigned kClient = kClientRun | kClientProbe;
+
+/** A parsed flag value, handed to FlagDef::apply. */
+struct FlagValue
+{
+    const char *text = nullptr;
+    unsigned long long count = 0;
+    double seconds = 0.0;
+};
+
+struct FlagDef
+{
+    const char *name;
+    unsigned cmds; ///< subcommands that read the flag
+    enum class Arg { None, Text, Count, Seconds } arg;
+    unsigned long long max; ///< Count bound (inclusive)
+    void (*apply)(Flags &, const FlagValue &);
+};
+
+// Bounds match the spec parser's: an overflowing value must be an
+// error, not a silent truncation — and never a value that collides
+// with the kNoThreads/kNoRecords "unset" sentinels.
+constexpr unsigned long long kMaxThreads = 65536;
+constexpr unsigned long long kMaxRecords = 1ull << 53;
+constexpr unsigned long long kMaxMs = 86400000;
+
+using A = FlagDef::Arg;
+const FlagDef kFlags[] = {
+    {"--threads", kRun | kWarm, A::Count, kMaxThreads,
+     [](Flags &f, const FlagValue &v) {
+         f.opts.threads = static_cast<unsigned>(v.count);
+     }},
+    {"--records", kRun | kWarm, A::Count, kMaxRecords,
+     [](Flags &f, const FlagValue &v) {
+         f.opts.records = static_cast<std::size_t>(v.count);
+     }},
+    {"--trace-cache-dir", kRun | kServe | kWarm | kCacheAdmin, A::Text,
+     0, [](Flags &f, const FlagValue &v) {
+         f.opts.traceCacheDir = v.text;
+     }},
+    {"--no-trace-cache", kRun | kServe, A::None, 0,
+     [](Flags &f, const FlagValue &) { f.opts.traceCache = 0; }},
+    {"--keep-going", kRun, A::None, 0,
+     [](Flags &f, const FlagValue &) { f.opts.keepGoing = 1; }},
+    {"--fail-fast", kRun, A::None, 0,
+     [](Flags &f, const FlagValue &) { f.opts.keepGoing = 0; }},
+    {"--progress", kRun, A::None, 0,
+     [](Flags &f, const FlagValue &) { f.opts.progress = true; }},
+    {"--metrics-out", kRun, A::Text, 0,
+     [](Flags &f, const FlagValue &v) { f.opts.metricsOut = v.text; }},
+    {"--trace-out", kRun, A::Text, 0,
+     [](Flags &f, const FlagValue &v) { f.opts.traceOut = v.text; }},
+    {"--resume", kRun, A::None, 0,
+     [](Flags &f, const FlagValue &) { f.resume = true; }},
+    {"--journal", kRun, A::Text, 0,
+     [](Flags &f, const FlagValue &v) { f.opts.journalPath = v.text; }},
+    {"--no-journal-fsync", kRun, A::None, 0,
+     [](Flags &f, const FlagValue &) { f.opts.journalFsync = false; }},
+    {"--job-timeout", kRun, A::Seconds, 0,
+     [](Flags &f, const FlagValue &v) {
+         f.opts.jobTimeoutS = v.seconds;
+     }},
+    {"--socket", kServe | kClient, A::Text, 0,
+     [](Flags &f, const FlagValue &v) { f.socketPath = v.text; }},
+    {"--serve-workers", kServe, A::Count, 1024,
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.workers = static_cast<unsigned>(v.count);
+     }},
+    {"--max-queue", kServe, A::Count, 1 << 20,
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.maxQueue = static_cast<std::size_t>(v.count);
+     }},
+    {"--max-frame-bytes", kServe, A::Count, ~std::uint32_t{0},
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.maxFrameBytes = static_cast<std::uint32_t>(v.count);
+     }},
+    {"--io-timeout-ms", kServe, A::Count, kMaxMs,
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.ioTimeoutMs = static_cast<int>(v.count);
+     }},
+    {"--max-rss-mb", kServe, A::Count, 1 << 24,
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.maxRssMb = static_cast<std::size_t>(v.count);
+     }},
+    {"--request-deadline", kServe, A::Seconds, 0,
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.requestDeadlineS = v.seconds;
+     }},
+    {"--drain-grace", kServe, A::Seconds, 0,
+     [](Flags &f, const FlagValue &v) {
+         f.serveOpts.drainGraceS = v.seconds;
+     }},
+    {"--timeout-ms", kClient, A::Count, kMaxMs,
+     [](Flags &f, const FlagValue &v) {
+         f.clientTimeoutMs = static_cast<int>(v.count);
+     }},
+    {"--deadline", kClientRun, A::Seconds, 0,
+     [](Flags &f, const FlagValue &v) { f.clientDeadlineS = v.seconds; }},
+};
+
+/**
+ * Parse argv[from..] for subcommand @p cmd (one of the bits above),
+ * named @p cmd_name in messages. Value flags take "--flag V" or
+ * "--flag=V". Returns false after printing why on any unknown flag,
+ * flag of another subcommand, or malformed value.
+ */
+bool
+parseFlags(int argc, char **argv, int from, unsigned cmd,
+           const char *cmd_name, Flags &flags)
+{
+    for (int i = from; i < argc; ++i) {
+        const char *arg = argv[i];
+        if (arg[0] != '-') {
+            flags.positional.push_back(arg);
+            continue;
         }
-        return argv[++i];
-    };
-    // Bounds match the spec parser's: an overflowing value must be
-    // an error, not a silent truncation — and never a value that
-    // collides with the kNoThreads/kNoRecords "unset" sentinels.
-    auto parseCount = [](const char *flag, const char *s,
-                         unsigned long long max,
-                         unsigned long long &out) {
+        const char *eq = std::strchr(arg, '=');
+        const std::string name(arg, eq ? eq - arg : std::strlen(arg));
+        const FlagDef *def = nullptr;
+        for (const auto &d : kFlags)
+            if (name == d.name)
+                def = &d;
+        if (!def) {
+            std::fprintf(stderr, "prophet: unknown flag %s\n", arg);
+            return false;
+        }
+        if (!(def->cmds & cmd)) {
+            std::fprintf(stderr,
+                         "prophet: %s is not accepted by `prophet "
+                         "%s`\n",
+                         def->name, cmd_name);
+            return false;
+        }
+        FlagValue v;
+        if (def->arg == A::None) {
+            if (eq) {
+                std::fprintf(stderr, "prophet: %s takes no value\n",
+                             def->name);
+                return false;
+            }
+            def->apply(flags, v);
+            continue;
+        }
+        if (eq) {
+            v.text = eq + 1;
+        } else if (i + 1 < argc) {
+            v.text = argv[++i];
+        } else {
+            std::fprintf(stderr, "prophet: %s needs a value\n",
+                         def->name);
+            return false;
+        }
         char *end = nullptr;
         errno = 0;
-        unsigned long long v = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0' || errno == ERANGE || v > max) {
-            std::fprintf(stderr,
-                         "prophet: %s: invalid value '%s'\n", flag,
-                         s);
+        bool ok = true;
+        if (def->arg == A::Count) {
+            v.count = std::strtoull(v.text, &end, 10);
+            ok = v.count <= def->max; // "-1" wraps past every max
+        } else if (def->arg == A::Seconds) {
+            v.seconds = std::strtod(v.text, &end);
+            ok = v.seconds >= 0.0 && v.seconds < 1e9;
+        }
+        if (def->arg != A::Text
+            && (!ok || end == v.text || *end != '\0'
+                || errno == ERANGE)) {
+            std::fprintf(stderr, "prophet: %s: invalid value '%s'\n",
+                         def->name, v.text);
             return false;
         }
-        out = v;
-        return true;
-    };
-    constexpr unsigned long long kMaxThreads = 65536;
-    constexpr unsigned long long kMaxRecords =
-        1ull << 53; // the spec schema's bound
-    for (int i = from; i < argc; ++i) {
-        unsigned long long v = 0;
-        if (!std::strcmp(argv[i], "--threads")) {
-            const char *s = needValue(i, "--threads");
-            if (!s || !parseCount("--threads", s, kMaxThreads, v))
-                return false;
-            flags.opts.threads = static_cast<unsigned>(v);
-        } else if (!std::strncmp(argv[i], "--threads=", 10)) {
-            if (!parseCount("--threads", argv[i] + 10, kMaxThreads,
-                            v))
-                return false;
-            flags.opts.threads = static_cast<unsigned>(v);
-        } else if (!std::strcmp(argv[i], "--records")) {
-            const char *s = needValue(i, "--records");
-            if (!s || !parseCount("--records", s, kMaxRecords, v))
-                return false;
-            flags.opts.records = static_cast<std::size_t>(v);
-        } else if (!std::strncmp(argv[i], "--records=", 10)) {
-            if (!parseCount("--records", argv[i] + 10, kMaxRecords,
-                            v))
-                return false;
-            flags.opts.records = static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--no-trace-cache")) {
-            flags.opts.traceCache = 0;
-        } else if (!std::strcmp(argv[i], "--keep-going")) {
-            flags.opts.keepGoing = 1;
-        } else if (!std::strcmp(argv[i], "--fail-fast")) {
-            flags.opts.keepGoing = 0;
-        } else if (!std::strcmp(argv[i], "--trace-cache-dir")) {
-            const char *s = needValue(i, "--trace-cache-dir");
-            if (!s)
-                return false;
-            flags.opts.traceCacheDir = s;
-        } else if (!std::strncmp(argv[i], "--trace-cache-dir=", 18)) {
-            flags.opts.traceCacheDir = argv[i] + 18;
-        } else if (!std::strcmp(argv[i], "--progress")) {
-            flags.opts.progress = true;
-        } else if (!std::strcmp(argv[i], "--metrics-out")) {
-            const char *s = needValue(i, "--metrics-out");
-            if (!s)
-                return false;
-            flags.opts.metricsOut = s;
-        } else if (!std::strncmp(argv[i], "--metrics-out=", 14)) {
-            flags.opts.metricsOut = argv[i] + 14;
-        } else if (!std::strcmp(argv[i], "--trace-out")) {
-            const char *s = needValue(i, "--trace-out");
-            if (!s)
-                return false;
-            flags.opts.traceOut = s;
-        } else if (!std::strncmp(argv[i], "--trace-out=", 12)) {
-            flags.opts.traceOut = argv[i] + 12;
-        } else if (!std::strcmp(argv[i], "--resume")) {
-            flags.resume = true;
-        } else if (!std::strcmp(argv[i], "--journal")) {
-            const char *s = needValue(i, "--journal");
-            if (!s)
-                return false;
-            flags.opts.journalPath = s;
-        } else if (!std::strncmp(argv[i], "--journal=", 10)) {
-            flags.opts.journalPath = argv[i] + 10;
-        } else if (!std::strcmp(argv[i], "--no-journal-fsync")) {
-            flags.opts.journalFsync = false;
-        } else if (!std::strcmp(argv[i], "--job-timeout")
-                   || !std::strncmp(argv[i], "--job-timeout=", 14)) {
-            const char *s = argv[i][13] == '='
-                ? argv[i] + 14
-                : needValue(i, "--job-timeout");
-            if (!s)
-                return false;
-            char *end = nullptr;
-            errno = 0;
-            double secs = std::strtod(s, &end);
-            if (end == s || *end != '\0' || errno == ERANGE
-                || !(secs >= 0.0) || secs >= 1e9) {
-                std::fprintf(
-                    stderr,
-                    "prophet: --job-timeout: invalid value '%s'\n",
-                    s);
-                return false;
-            }
-            flags.opts.jobTimeoutS = secs;
-        } else if (!std::strcmp(argv[i], "--socket")) {
-            const char *s = needValue(i, "--socket");
-            if (!s)
-                return false;
-            flags.socketPath = s;
-        } else if (!std::strncmp(argv[i], "--socket=", 9)) {
-            flags.socketPath = argv[i] + 9;
-        } else if (!std::strcmp(argv[i], "--serve-workers")) {
-            const char *s = needValue(i, "--serve-workers");
-            if (!s || !parseCount("--serve-workers", s, 1024, v))
-                return false;
-            flags.serveOpts.workers = static_cast<unsigned>(v);
-        } else if (!std::strcmp(argv[i], "--max-queue")) {
-            const char *s = needValue(i, "--max-queue");
-            if (!s || !parseCount("--max-queue", s, 1 << 20, v))
-                return false;
-            flags.serveOpts.maxQueue =
-                static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--max-frame-bytes")) {
-            const char *s = needValue(i, "--max-frame-bytes");
-            if (!s
-                || !parseCount("--max-frame-bytes", s,
-                               ~std::uint32_t{0}, v))
-                return false;
-            flags.serveOpts.maxFrameBytes =
-                static_cast<std::uint32_t>(v);
-        } else if (!std::strcmp(argv[i], "--io-timeout-ms")) {
-            const char *s = needValue(i, "--io-timeout-ms");
-            if (!s
-                || !parseCount("--io-timeout-ms", s, 86400000, v))
-                return false;
-            flags.serveOpts.ioTimeoutMs = static_cast<int>(v);
-        } else if (!std::strcmp(argv[i], "--max-rss-mb")) {
-            const char *s = needValue(i, "--max-rss-mb");
-            if (!s || !parseCount("--max-rss-mb", s, 1 << 24, v))
-                return false;
-            flags.serveOpts.maxRssMb =
-                static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--timeout-ms")) {
-            const char *s = needValue(i, "--timeout-ms");
-            if (!s || !parseCount("--timeout-ms", s, 86400000, v))
-                return false;
-            flags.clientTimeoutMs = static_cast<int>(v);
-        } else if (!std::strcmp(argv[i], "--request-deadline")
-                   || !std::strcmp(argv[i], "--drain-grace")
-                   || !std::strcmp(argv[i], "--deadline")) {
-            const std::string flag = argv[i];
-            const char *s = needValue(i, flag.c_str());
-            if (!s)
-                return false;
-            char *end = nullptr;
-            errno = 0;
-            double secs = std::strtod(s, &end);
-            if (end == s || *end != '\0' || errno == ERANGE
-                || !(secs >= 0.0) || secs >= 1e9) {
-                std::fprintf(stderr,
-                             "prophet: %s: invalid value '%s'\n",
-                             flag.c_str(), s);
-                return false;
-            }
-            if (flag == "--request-deadline")
-                flags.serveOpts.requestDeadlineS = secs;
-            else if (flag == "--drain-grace")
-                flags.serveOpts.drainGraceS = secs;
-            else
-                flags.clientDeadlineS = secs;
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "prophet: unknown flag %s\n",
-                         argv[i]);
-            return false;
-        } else {
-            flags.positional.push_back(argv[i]);
-        }
+        def->apply(flags, v);
     }
     return true;
 }
@@ -661,11 +661,8 @@ cmdTraceCacheStats(const Flags &flags)
             std::printf("  format unreadable: %zu entr%s\n", count,
                         count == 1 ? "y" : "ies");
         else
-            std::printf("  format v%u: %zu entr%s%s\n", version,
-                        count, count == 1 ? "y" : "ies",
-                        version < trace::kTraceFormatV3
-                            ? " (legacy; upgraded on next load)"
-                            : "");
+            std::printf("  format v%u: %zu entr%s\n", version, count,
+                        count == 1 ? "y" : "ies");
     }
 
     // Quarantined entries and the durable health counters
@@ -703,52 +700,61 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     std::string cmd = argv[1];
-
-    if (cmd == "run") {
-        Flags flags;
-        if (!parseFlags(argc, argv, 2, flags))
-            return 2;
-        return cmdRun(flags);
-    }
-    if (cmd == "serve") {
-        Flags flags;
-        if (!parseFlags(argc, argv, 2, flags))
-            return 2;
-        return cmdServe(flags);
-    }
-    if (cmd == "client") {
-        if (argc < 3)
-            return usage();
-        std::string sub = argv[2];
-        Flags flags;
-        if (!parseFlags(argc, argv, 3, flags))
-            return 2;
-        return cmdClient(sub, flags);
-    }
     if (cmd == "list-workloads")
         return cmdListWorkloads();
     if (cmd == "list-pipelines")
         return cmdListPipelines();
-    if (cmd == "trace-cache") {
-        if (argc < 3)
-            return usage();
-        std::string sub = argv[2];
-        Flags flags;
-        if (!parseFlags(argc, argv, 3, flags))
-            return 2;
-        if (sub == "warm")
-            return cmdTraceCacheWarm(flags);
-        if (sub == "clear")
-            return cmdTraceCacheClear(flags);
-        if (sub == "stats")
-            return cmdTraceCacheStats(flags);
-        return usage();
-    }
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {
         usage();
         return 0;
     }
-    std::fprintf(stderr, "prophet: unknown command \"%s\"\n",
-                 cmd.c_str());
-    return usage();
+
+    // Every other command parses flags scoped to it (kFlags).
+    const bool two_word = cmd == "client" || cmd == "trace-cache";
+    if (two_word && argc < 3)
+        return usage();
+    const std::string sub = two_word ? argv[2] : "";
+    const std::string name = two_word ? cmd + " " + sub : cmd;
+    unsigned bit = 0;
+    if (cmd == "run")
+        bit = kRun;
+    else if (cmd == "serve")
+        bit = kServe;
+    else if (cmd == "client")
+        bit = sub == "run" ? kClientRun : kClientProbe;
+    else if (name == "trace-cache warm")
+        bit = kWarm;
+    else if (name == "trace-cache clear" || name == "trace-cache stats")
+        bit = kCacheAdmin;
+    else if (cmd == "trace-cache")
+        return usage();
+    else {
+        std::fprintf(stderr, "prophet: unknown command \"%s\"\n",
+                     cmd.c_str());
+        return usage();
+    }
+    Flags flags;
+    if (!parseFlags(argc, argv, two_word ? 3 : 2, bit, name.c_str(),
+                    flags))
+        return static_cast<int>(ExitCode::Usage);
+    if (!flags.positional.empty()
+        && (bit & (kServe | kClientProbe | kCacheAdmin))) {
+        std::fprintf(stderr,
+                     "prophet %s: unexpected argument \"%s\"\n",
+                     name.c_str(), flags.positional[0].c_str());
+        return static_cast<int>(ExitCode::Usage);
+    }
+    switch (bit) {
+      case kRun:
+        return cmdRun(flags);
+      case kServe:
+        return cmdServe(flags);
+      case kWarm:
+        return cmdTraceCacheWarm(flags);
+      case kCacheAdmin:
+        return sub == "clear" ? cmdTraceCacheClear(flags)
+                              : cmdTraceCacheStats(flags);
+      default:
+        return cmdClient(sub, flags);
+    }
 }
