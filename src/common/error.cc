@@ -29,8 +29,6 @@ errorCodeName(ErrorCode code)
         return "fault-injected";
       case ErrorCode::Internal:
         return "internal";
-      case ErrorCode::JournalCorrupt:
-        return "journal-corrupt";
       case ErrorCode::JobTimeout:
         return "job-timeout";
       case ErrorCode::ServerOverloaded:

@@ -41,7 +41,6 @@ enum class ErrorCode : std::uint8_t
     Cancelled,       ///< cooperative cancellation observed
     FaultInjected,   ///< a deterministic test fault fired
     Internal,        ///< everything else (wrapped std::exception)
-    JournalCorrupt,  ///< result-journal entry failed validation
     JobTimeout,      ///< watchdog deadline cancelled the job
     ServerOverloaded,///< serve daemon shed the request (queue full)
     ProtocolError,   ///< malformed/oversize serve frame or request

@@ -16,8 +16,8 @@ exitCodesHelp()
            "  5  partial failure (--keep-going: some jobs failed,\n"
            "     the rest completed)\n"
            "  6  interrupted (SIGINT/SIGTERM drained the run or\n"
-           "     daemon; completed jobs were journaled when\n"
-           "     --resume/--journal was on)\n";
+           "     daemon; completed jobs are in the result store,\n"
+           "     so rerunning the same command continues)\n";
 }
 
 ExitCode

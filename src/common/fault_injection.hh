@@ -16,15 +16,10 @@
  *   job-transient.<w>/<p>  same, but raised as a transient I/O
  *                      error, so the driver's bounded retry clears
  *                      it once the armed count is exhausted
- *   journal.load       per-entry corruption while loading the resume
- *                      journal: the entry is dropped as if its
- *                      checksum failed (logged, counted under
- *                      "journal.corrupt_skipped"; the job
- *                      re-simulates)
- *   journal.append     an append I/O failure in the resume journal:
- *                      nothing is written (the file stays
- *                      well-formed), the run continues, that job
- *                      just re-simulates on the next resume
+ *   store.write        a result-store write fails: nothing is
+ *                      written, the failure is logged once, the run
+ *                      continues, and that result is simulated
+ *                      again by the next run that needs it
  *   serve.accept       the serve daemon's accept(2): the connection
  *                      is dropped and counted under
  *                      "serve.accept_errors"; the daemon keeps

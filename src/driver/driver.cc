@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <set>
 #include <thread>
 
 #include "common/cancellation.hh"
@@ -16,8 +15,8 @@
 #include "common/metrics.hh"
 #include "common/span_trace.hh"
 #include "common/time.hh"
-#include "driver/journal.hh"
 #include "driver/metrics_report.hh"
+#include "driver/result_store.hh"
 #include "sim/config_report.hh"
 #include "sim/pipelines.hh"
 #include "sim/sweep.hh"
@@ -48,7 +47,7 @@ recordFailure(JobResult &slot, const sim::SweepEngine::JobFailure &f,
         slot.errorCode = ErrorCode::Cancelled;
         slot.errorMessage = interrupted
             ? "cancelled: run interrupted before this job started; "
-              "rerun with --resume to continue"
+              "rerun to continue"
             : "cancelled: skipped after an earlier "
               "job failure (fail-fast)";
         return;
@@ -253,11 +252,15 @@ class AttemptScope
  * cancellation propagate immediately. The fault points "job.<w>/<p>"
  * and "job-transient.<w>/<p>" let tests fail exactly one job — the
  * latter with a retryable class, so arming it for a single shot
- * exercises the retry-then-succeed path.
+ * exercises the retry-then-succeed path. They fire before the result
+ * store is consulted, so an armed job fails even when its result is
+ * stored. With a @p store, an attempt is served from it under
+ * @p identity when it can be, and a simulated result is stored.
  */
 void
 runJobWithRetry(sim::Runner &runner,
                 const sim::PipelineInstance &inst, JobResult &slot,
+                ResultStore *store, const json::Value &identity,
                 const CancellationToken &token,
                 JobWatchdog *watchdog, unsigned max_attempts,
                 unsigned backoff_ms)
@@ -281,7 +284,16 @@ runJobWithRetry(sim::Runner &runner,
                     throw Error(ErrorCode::TraceIo,
                                 "injected transient job failure",
                                 std::move(ctx));
+                if (store) {
+                    if (auto hit = store->get(identity)) {
+                        slot.stats = std::move(*hit);
+                        slot.cached = true;
+                        return;
+                    }
+                }
                 slot.stats = runner.run(inst, slot.workload);
+                if (store)
+                    store->put(identity, slot.stats);
                 return;
             } catch (const Error &e) {
                 // A cancellation caused by this attempt's own
@@ -579,65 +591,21 @@ ExperimentDriver::run()
     if (owned_runner)
         runner.setCancellation(&token);
 
-    const std::uint64_t result_hash =
-        spec.resultHash(effectiveRecords());
     const std::size_t per = spec.pipelines.size();
-    const std::size_t total_jobs = spec.workloads.size() * per;
+    const std::size_t records = effectiveRecords();
 
-    // Resume journal: load what a previous (interrupted) run already
-    // completed, and checkpoint every completion of this one. A
-    // journal written for a different spec is a refusal (SpecError —
-    // replaying its results would silently mix experiments); an
-    // unreadable/uncreatable journal merely downgrades to running
-    // without checkpointing.
-    std::unique_ptr<ResultJournal> journal;
-    if (!opts.journalPath.empty()) {
-        try {
-            ResultJournal::Options jopts;
-            jopts.fsyncEachAppend = opts.journalFsync;
-            journal = std::make_unique<ResultJournal>(
-                opts.journalPath, result_hash, jopts);
-        } catch (const SpecError &) {
-            throw;
-        } catch (const std::exception &e) {
-            prophet_warnf("journal: %s unusable (%s); running "
-                          "without checkpointing",
-                          opts.journalPath.c_str(), e.what());
-        }
-    }
-    std::vector<const JournalEntry *> replay(total_jobs, nullptr);
-    std::set<std::string> replayed_baselines;
-    if (journal) {
-        for (const JournalEntry &e : journal->entries()) {
-            if (e.kind == JournalEntry::Kind::Baseline) {
-                runner.injectBaseline(e.workload, e.stats);
-                replayed_baselines.insert(e.workload);
-                continue;
-            }
-            const std::size_t idx = e.jobIndex;
-            // Identity check per entry: hashes collide with
-            // near-zero probability, but a journal edited or grown
-            // by hand must not inject a wrong slot.
-            if (idx >= total_jobs
-                || e.workload != spec.workloads[idx / per]
-                || e.pipeline
-                    != spec.pipelines[idx % per].resultName()) {
-                prophet_warnf("journal: entry for %s/%s does not "
-                              "match this spec's job grid; ignored",
-                              e.workload.c_str(), e.pipeline.c_str());
-                continue;
-            }
-            replay[idx] = &e;
-        }
-        std::size_t hits = 0;
-        for (const auto *e : replay)
-            if (e)
-                ++hits;
-        if (hits > 0 || !replayed_baselines.empty())
-            prophet_infof("%s: resuming — %zu of %zu completed "
-                          "job(s) replayed from %s",
-                          spec.name.c_str(), hits, total_jobs,
-                          journal->path().c_str());
+    // Result store: on exactly when the trace cache is, in its
+    // "results" subdirectory — the per-run cache above, or the
+    // resident runner's. A spec whose jobs another run already
+    // simulated (fig11 after fig10, a rerun of an interrupted sweep)
+    // is then served instead of simulated, bit for bit.
+    std::unique_ptr<ResultStore> store;
+    if (trace::TraceCache *tc = runner.traceCache()) {
+        if (std::uint64_t model = ResultStore::executableFingerprint())
+            store = std::make_unique<ResultStore>(tc->dir(), model);
+        else
+            prophet_warnf("store: cannot fingerprint the executable; "
+                          "running without the result store");
     }
 
     // Watchdog: only when a per-job deadline or an external shutdown
@@ -655,8 +623,9 @@ ExperimentDriver::run()
     // computing them redundantly inside racing jobs). A warm-up
     // failure is not final — the workload's jobs recompute the
     // baseline themselves and fail individually if it truly cannot
-    // be built — so warm-up always runs keep-going. Baselines
-    // journal too: they are the expensive half of a resumed run.
+    // be built — so warm-up always runs keep-going. Baselines go
+    // through the result store too: a served one is injected into
+    // the runner, so metric derivation and RPG2 never simulate it.
     if (needsBaseline(spec)) {
         auto warm = engine.tryForEach(
             spec.workloads.size(),
@@ -668,14 +637,15 @@ ExperimentDriver::run()
                 // route, and a deadline applies to baselines as much
                 // as to the jobs they feed.
                 AttemptScope scope(watchdog.get(), w + "/baseline");
-                const sim::RunStats &stats = runner.baseline(w);
-                if (journal && !replayed_baselines.count(w)) {
-                    JournalEntry e;
-                    e.kind = JournalEntry::Kind::Baseline;
-                    e.workload = w;
-                    e.stats = stats;
-                    journal->append(e);
+                if (!store) {
+                    runner.baseline(w);
+                    return;
                 }
+                json::Value id = spec.resultIdentity(records, w, nullptr);
+                if (auto hit = store->get(id))
+                    runner.injectBaseline(w, std::move(*hit));
+                else
+                    store->put(id, runner.baseline(w));
             },
             sim::SweepEngine::FailurePolicy::KeepGoing);
         for (std::size_t i = 0; i < warm.size(); ++i)
@@ -691,7 +661,7 @@ ExperimentDriver::run()
     // by construction. One failing job cannot take down its
     // siblings; its slot records why it failed instead.
     ExperimentReport report;
-    report.results.resize(total_jobs);
+    report.results.resize(spec.workloads.size() * per);
     std::atomic<std::size_t> jobs_done{0};
     std::unique_ptr<ProgressMonitor> monitor;
     if (opts.progress)
@@ -705,26 +675,15 @@ ExperimentDriver::run()
                 spec.pipelines[i % per];
             slot.workload = spec.workloads[i / per];
             slot.pipeline = inst.resultName();
-            // A journaled completion replays instead of simulating:
-            // same stats bits, so downstream metrics and sinks are
-            // indistinguishable from a from-scratch run.
-            if (replay[i]) {
-                slot.stats = replay[i]->stats;
-                slot.attempts = replay[i]->attempts;
-                slot.resumed = true;
-                metrics::counter("journal.hits").inc();
-                jobs_done.fetch_add(1, std::memory_order_relaxed);
-                if (!opts.progress)
-                    prophet_infof("  %s/%s replayed from journal",
-                                  slot.workload.c_str(),
-                                  slot.pipeline.c_str());
-                return;
-            }
+            const json::Value identity = store
+                ? spec.resultIdentity(records, slot.workload, &inst)
+                : json::Value();
             span::Span job_span(
                 "job " + slot.workload + "/" + slot.pipeline, "job");
             auto t0 = std::chrono::steady_clock::now();
             try {
-                runJobWithRetry(runner, inst, slot, token,
+                runJobWithRetry(runner, inst, slot, store.get(),
+                                identity, token,
                                 watchdog.get(), opts.maxAttempts,
                                 opts.retryBackoffMs);
             } catch (...) {
@@ -737,28 +696,19 @@ ExperimentDriver::run()
             }
             slot.seconds = secondsSince(t0);
             jobs_done.fetch_add(1, std::memory_order_relaxed);
-            if (journal) {
-                JournalEntry e;
-                e.kind = JournalEntry::Kind::Job;
-                e.jobIndex = static_cast<std::uint32_t>(i);
-                e.workload = slot.workload;
-                e.pipeline = slot.pipeline;
-                e.attempts = slot.attempts;
-                e.stats = slot.stats;
-                journal->append(e);
-            }
             // The per-job line would fight the monitor's single
             // repainted line, so --progress replaces it.
             if (!opts.progress)
-                prophet_infof("  %s/%s done", slot.workload.c_str(),
-                              slot.pipeline.c_str());
+                prophet_infof("  %s/%s %s", slot.workload.c_str(),
+                              slot.pipeline.c_str(),
+                              slot.cached ? "cached" : "done");
         },
         policy, &token);
     if (monitor)
         monitor->stop();
 
     // Whether the external token fired decides how skipped slots
-    // read: "interrupted, --resume continues" vs fail-fast's
+    // read: "interrupted, rerun to continue" vs fail-fast's
     // "earlier job failure". Fail-fast also fires the shared
     // shutdown token, so a hard (non-skipped) failure keeps the
     // fail-fast wording; only a pure cancellation — nothing failed,
@@ -795,8 +745,8 @@ ExperimentDriver::run()
         ++report.failedJobs;
     }
     for (const auto &r : report.results)
-        if (r.resumed)
-            ++report.resumedJobs;
+        if (r.cached)
+            ++report.cachedJobs;
 
     // Metric derivation is sequential: baselines are cached by now
     // and the division is trivial. Still fault-isolated per job — a
@@ -820,8 +770,8 @@ ExperimentDriver::run()
     auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start);
     report.meta.specName = spec.name;
-    report.meta.specHash = result_hash;
-    report.meta.records = effectiveRecords();
+    report.meta.specHash = spec.resultHash(records);
+    report.meta.records = records;
     report.meta.threads = engine.threads();
     report.meta.wallSeconds = elapsed.count();
     report.meta.timestamp = iso8601UtcNow();

@@ -53,19 +53,6 @@ struct DriverOptions
     // these set produces byte-identical outputs to one without) ----
 
     /**
-     * Path of the result journal (--resume / --journal). Empty
-     * disables checkpointing. When set, entries valid at startup
-     * replay — those jobs are not re-simulated — and every completed
-     * job is appended, so an interrupted run continues where it
-     * stopped. A journal written for a different spec resultHash is
-     * refused with SpecError.
-     */
-    std::string journalPath;
-
-    /** fsync the journal after every append (--no-journal-fsync). */
-    bool journalFsync = true;
-
-    /**
      * Per-job watchdog deadline in seconds. < 0 defers to the
      * spec's "deadline_s"; 0 forces the watchdog off; > 0 overrides
      * (--job-timeout). An expired job is cancelled and recorded as
@@ -76,8 +63,8 @@ struct DriverOptions
     /**
      * External shutdown token (the CLI's SIGINT/SIGTERM handler
      * fires it). When it fires mid-run: in-flight jobs are
-     * cancelled and drained, queued jobs never start, the journal
-     * and sinks flush what completed, and run() still returns its
+     * cancelled and drained, queued jobs never start, the sinks
+     * flush what completed, and run() still returns its
      * (partial) report. Null = no external shutdown. Non-const:
      * the run's fail-fast policy shares the token, so a first
      * failure may fire it too.
@@ -91,11 +78,13 @@ struct DriverOptions
      * constructing a per-run one. The caller owns its lifetime,
      * trace-cache attachment, and base configuration (which must
      * match the spec's baseConfig()/records — the serve daemon keys
-     * its runner pool on exactly those fields). The driver never
-     * calls setCancellation or setTraceCache on an external runner:
-     * per-job cancellation rides the watchdog's thread-local tokens,
-     * so concurrent requests sharing one Runner cannot clobber each
-     * other's tokens (or leave a dangling one behind).
+     * its runner pool on exactly those fields). The result store
+     * lives under the runner's trace cache, and is off without one.
+     * The driver never calls setCancellation or setTraceCache on an
+     * external runner: per-job cancellation rides the watchdog's
+     * thread-local tokens, so concurrent requests sharing one Runner
+     * cannot clobber each other's tokens (or leave a dangling one
+     * behind).
      */
     sim::Runner *runner = nullptr;
 
@@ -141,8 +130,8 @@ struct ExperimentReport
     /** Jobs that failed or were skipped by fail-fast. */
     std::size_t failedJobs = 0;
 
-    /** Jobs replayed from the resume journal, not simulated. */
-    std::size_t resumedJobs = 0;
+    /** Jobs served from the result store, not simulated. */
+    std::size_t cachedJobs = 0;
 
     /** The external shutdown token fired during the run. */
     bool interrupted = false;
@@ -170,7 +159,10 @@ class ExperimentDriver
     /** Records override after CLI overrides. */
     std::size_t effectiveRecords() const;
 
-    /** Whether the on-disk trace cache will be consulted. */
+    /**
+     * Whether the on-disk trace cache — and with it the result store
+     * in its "results" subdirectory — will be consulted.
+     */
     bool traceCacheEnabled() const;
 
     /** Failure policy after overrides (true = keep going). */
@@ -179,7 +171,7 @@ class ExperimentDriver
     /**
      * Expand, execute, and deliver to sinks. Results are
      * deterministic for a given spec: identical across thread
-     * counts and trace-cache states.
+     * counts and trace-cache and result-store states.
      */
     ExperimentReport run();
 

@@ -158,10 +158,10 @@ buildMetricsReport(const ExperimentReport &report)
                   json::Value(r.stats.sampledRecords));
             j.set("sample_scale", json::Value(r.stats.sampleScale));
         }
-        // Replayed-from-journal jobs keep the pre-resume document
-        // shape when the flag is unused, like "sampled" above.
-        if (r.resumed)
-            j.set("resumed", json::Value(true));
+        // Store-served jobs are marked; simulated ones keep the
+        // document shape, like "sampled" above.
+        if (r.cached)
+            j.set("cached", json::Value(true));
         jobs.push(std::move(j));
     }
     root.set("jobs", std::move(jobs));

@@ -70,12 +70,12 @@ struct JobResult
     unsigned attempts = 1;
 
     /**
-     * Replayed from the resume journal rather than simulated. The
-     * sinks never render it (a resumed run's output must stay
-     * byte-identical to a from-scratch run); metrics.json's "jobs"
+     * Served from the result store rather than simulated. The sinks
+     * never render it (a served run's output must stay
+     * byte-identical to a simulated one); metrics.json's "jobs"
      * section reports it for observability.
      */
-    bool resumed = false;
+    bool cached = false;
 
     /**
      * Wall time of this job's final attempt, including retry backoff

@@ -578,6 +578,23 @@ hashDump(const std::string &text)
     return fnv1a64(text.data(), text.size());
 }
 
+/** The simulated-machine fields of resultHash and resultIdentity. */
+void
+setMachineFields(const ExperimentSpec &spec, json::Value &root,
+                 std::size_t effective_records)
+{
+    root.set("records", json::Value(effective_records));
+    root.set("l1", json::Value(spec.l1));
+    root.set("dram_channels",
+             json::Value(static_cast<double>(spec.dramChannels)));
+    if (spec.warmupRecords != ExperimentSpec::kWarmupDefault)
+        root.set("warmup_records", json::Value(spec.warmupRecords));
+    // Sampling changes every reported number: two runs differing
+    // only in schedule must never compare as bit-identical.
+    if (spec.sampling.enabled)
+        root.set("sampling", samplingToJson(spec.sampling));
+}
+
 } // anonymous namespace
 
 std::uint64_t
@@ -604,17 +621,24 @@ ExperimentSpec::resultHash(std::size_t effective_records) const
     root.set("workloads", list(workloads));
     root.set("pipelines", pipelinesToJson(pipelines, false));
     root.set("metrics", list(metrics));
-    root.set("records", json::Value(effective_records));
-    root.set("l1", json::Value(l1));
-    root.set("dram_channels",
-             json::Value(static_cast<double>(dramChannels)));
-    if (warmupRecords != kWarmupDefault)
-        root.set("warmup_records", json::Value(warmupRecords));
-    // Sampling changes every reported number: two runs differing
-    // only in schedule must never compare as bit-identical.
-    if (sampling.enabled)
-        root.set("sampling", samplingToJson(sampling));
+    setMachineFields(*this, root, effective_records);
     return hashDump(json::dump(root));
+}
+
+json::Value
+ExperimentSpec::resultIdentity(
+    std::size_t effective_records, const std::string &workload,
+    const sim::PipelineInstance *pipeline) const
+{
+    json::Value root = json::Value::makeObject();
+    root.set("kind", json::Value(pipeline ? "job" : "baseline"));
+    root.set("workload", json::Value(workload));
+    // Label-free, like resultHash: a relabelled pipeline is the same
+    // simulation.
+    if (pipeline)
+        root.set("pipeline", pipelineToJson(*pipeline, false));
+    setMachineFields(*this, root, effective_records);
+    return root;
 }
 
 sim::SystemConfig

@@ -166,6 +166,20 @@ struct ExperimentSpec
      */
     std::uint64_t resultHash(std::size_t effective_records) const;
 
+    /**
+     * Identity of one result this spec produces: the job of
+     * @p pipeline on @p workload, or the workload's baseline when
+     * @p pipeline is null. Canonical JSON of every input the result
+     * depends on — kind, workload, the label-free pipeline instance,
+     * records as run, l1, dram_channels, warmup_records, sampling —
+     * and nothing else, so specs that share a simulation share its
+     * identity. The result store keys on it.
+     */
+    json::Value resultIdentity(std::size_t effective_records,
+                               const std::string &workload,
+                               const sim::PipelineInstance *pipeline)
+        const;
+
     /** The base SystemConfig the overrides produce. */
     sim::SystemConfig baseConfig() const;
 };

@@ -101,10 +101,10 @@ class Runner
         const CancellationToken *token);
 
     /**
-     * Seed the baseline cache with externally obtained stats (the
-     * resume journal's replayed baselines), so metric derivation and
-     * RPG2 on a resumed run skip the re-simulation. First insert
-     * wins, matching the concurrent-compute semantics of baseline().
+     * Seed the baseline cache with externally obtained stats (a
+     * baseline the driver's result store served), so metric
+     * derivation and RPG2 skip the re-simulation. First insert wins,
+     * matching the concurrent-compute semantics of baseline().
      */
     void injectBaseline(const std::string &workload, RunStats stats);
 

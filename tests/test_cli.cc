@@ -116,6 +116,66 @@ TEST_F(CliTest, MalformedFlagsAreUsageErrors)
     }
 }
 
+TEST_F(CliTest, RemovedJournalFlagsAreUsageErrors)
+{
+    // Rerunning resumes now; the journal's flags are gone, and
+    // scripts still passing them fail loudly instead of being
+    // ignored.
+    for (const char *args :
+         {"run tiny.json --resume", "run tiny.json --journal j",
+          "run tiny.json --no-journal-fsync"}) {
+        SCOPED_TRACE(args);
+        Outcome o = prophet(args, dir);
+        EXPECT_EQ(o.exitCode, 2) << o.output;
+        EXPECT_NE(o.output.find("unknown flag"), std::string::npos)
+            << o.output;
+    }
+}
+
+TEST_F(CliTest, CacheAdminCoversStoredResults)
+{
+    const std::string cache = "--trace-cache-dir cache";
+    // warm makes traces only.
+    Outcome warm = prophet("trace-cache warm tiny.json " + cache, dir);
+    ASSERT_EQ(warm.exitCode, 0) << warm.output;
+    Outcome stats = prophet("trace-cache stats " + cache, dir);
+    EXPECT_NE(stats.output.find("1 cached trace(s)"), std::string::npos)
+        << stats.output;
+    EXPECT_NE(stats.output.find("0 stored result(s), 0 bytes"),
+              std::string::npos)
+        << stats.output;
+
+    // A run stores its one job and the workload's baseline; a
+    // second run is served from them.
+    Outcome run = prophet("run tiny.json " + cache, dir);
+    ASSERT_EQ(run.exitCode, 0) << run.output;
+    EXPECT_NE(run.output.find("mcf/baseline done"), std::string::npos)
+        << run.output;
+    stats = prophet("trace-cache stats " + cache, dir);
+    EXPECT_NE(stats.output.find("2 stored result(s)"),
+              std::string::npos)
+        << stats.output;
+    Outcome rerun = prophet("run tiny.json " + cache, dir);
+    ASSERT_EQ(rerun.exitCode, 0) << rerun.output;
+    EXPECT_NE(rerun.output.find("mcf/baseline cached"),
+              std::string::npos)
+        << rerun.output;
+
+    // clear removes traces and results alike.
+    Outcome clear = prophet("trace-cache clear " + cache, dir);
+    ASSERT_EQ(clear.exitCode, 0) << clear.output;
+    EXPECT_NE(clear.output.find("removed 1 cached trace(s) and 2 "
+                                "stored result(s)"),
+              std::string::npos)
+        << clear.output;
+    stats = prophet("trace-cache stats " + cache, dir);
+    EXPECT_NE(stats.output.find("0 cached trace(s)"), std::string::npos)
+        << stats.output;
+    EXPECT_NE(stats.output.find("0 stored result(s), 0 bytes"),
+              std::string::npos)
+        << stats.output;
+}
+
 TEST_F(CliTest, ScriptedFlagSetsStillRun)
 {
     // The flag sets the benchmark harness and CI pass.

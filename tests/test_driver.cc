@@ -3,7 +3,9 @@
  * End-to-end tests for the experiment driver: a spec run's JSON-sink
  * output must match the equivalent direct Runner calls bit-for-bit
  * (same doubles, same counters), results must be independent of the
- * thread count, and the run must carry its metadata.
+ * thread count, and the run must carry its metadata. The watchdog
+ * cancels an overrunning job as a transient JobTimeout, and a fired
+ * shutdown token drains the run.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +16,10 @@
 #include <sstream>
 #include <unistd.h>
 
+#include "common/cancellation.hh"
 #include "common/error.hh"
 #include "common/fault_injection.hh"
+#include "common/metrics.hh"
 #include "driver/driver.hh"
 #include "driver/json.hh"
 #include "sim/runner.hh"
@@ -255,7 +259,10 @@ TEST_F(DriverTest, TraceCacheDoesNotChangeResults)
     auto r_cold = cold.run();
     EXPECT_GT(r_cold.meta.traceCacheMisses, 0u);
 
-    // Second cached run: all hits, same numbers.
+    // Second cached run: all hits, same numbers. The cold run also
+    // stored its results, which would serve this run without loading
+    // a trace; drop them so the trace cache alone is under test.
+    fs::remove_all(opts.traceCacheDir + "/results");
     auto spec_warm = smokeSpec(pb);
     spec_warm.traceCache = true;
     ExperimentDriver warm(std::move(spec_warm), opts);
@@ -484,6 +491,86 @@ TEST_F(DriverTest, MetricsOutWritesReportAndResetsBetweenRuns)
     EXPECT_EQ(
         second.find("counters")->find("sim.records")->asNumber(),
         first_records);
+}
+
+/** One 2M-record triangel job on mcf: far longer than 1 ms. */
+ExperimentSpec
+slowSpec(const std::string &csv_path, const std::string &extra = "")
+{
+    json::Value doc;
+    std::string text =
+        "{\"name\": \"slow\","
+        " \"workloads\": [\"mcf\"],"
+        " \"pipelines\": [\"triangel\"],"
+        " \"metrics\": [\"ipc\"],"
+        " \"records\": 2000000," + extra +
+        " \"trace_cache\": false,"
+        " \"sinks\": [{\"type\": \"csv\","
+        "              \"path\": \"" + csv_path + "\"}]}";
+    EXPECT_TRUE(json::parse(text, doc, nullptr));
+    return ExperimentSpec::fromJson(doc);
+}
+
+TEST_F(DriverTest, WatchdogTimesOutAnOverrunningJob)
+{
+    DriverOptions opts;
+    opts.jobTimeoutS = 0.001; // 2M records cannot finish in 1 ms
+    opts.keepGoing = 1;
+    opts.maxAttempts = 2;
+    opts.retryBackoffMs = 0;
+    ExperimentDriver drv(slowSpec(dir + "/slow.csv"), opts);
+    auto report = drv.run();
+    ASSERT_EQ(report.results.size(), 1u);
+    const JobResult &r = report.results[0];
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.errorCode, ErrorCode::JobTimeout);
+    EXPECT_EQ(r.attempts, 2u); // transient: retried, timed out again
+    EXPECT_NE(r.errorMessage.find("deadline"), std::string::npos);
+    EXPECT_GE(metrics::counter("watchdog.fires").value(), 2u);
+    EXPECT_FALSE(report.interrupted);
+}
+
+TEST_F(DriverTest, SpecDeadlineDrivesTheWatchdogToo)
+{
+    DriverOptions opts;
+    opts.keepGoing = 1;
+    opts.maxAttempts = 1;
+    opts.retryBackoffMs = 0;
+    auto spec = slowSpec(dir + "/slow.csv", " \"deadline_s\": 0.001,");
+    ExperimentDriver drv(spec, opts);
+    auto report = drv.run();
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_EQ(report.results[0].errorCode, ErrorCode::JobTimeout);
+
+    // And --job-timeout 0 overrides the spec deadline off.
+    DriverOptions off = opts;
+    off.jobTimeoutS = 0.0;
+    ExperimentDriver drv2(spec, off);
+    EXPECT_TRUE(drv2.run().ok());
+}
+
+TEST_F(DriverTest, PreFiredShutdownTokenDrainsTheRun)
+{
+    CancellationToken shutdown;
+    shutdown.cancel();
+    DriverOptions opts;
+    opts.shutdown = &shutdown;
+    opts.keepGoing = 1;
+    ExperimentDriver drv(smokeSpec(dir + "/out.json"), opts);
+    auto report = drv.run();
+    EXPECT_TRUE(report.interrupted);
+    EXPECT_EQ(report.failedJobs, report.results.size());
+    for (const auto &r : report.results) {
+        EXPECT_EQ(r.errorCode, ErrorCode::Cancelled);
+        EXPECT_NE(r.errorMessage.find("rerun"), std::string::npos)
+            << r.errorMessage;
+    }
+    // A fresh token: the same run now finishes the whole sweep.
+    CancellationToken fresh;
+    opts.shutdown = &fresh;
+    auto done = ExperimentDriver(smokeSpec(dir + "/out.json"), opts).run();
+    EXPECT_TRUE(done.ok());
+    EXPECT_FALSE(done.interrupted);
 }
 
 } // anonymous namespace

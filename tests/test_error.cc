@@ -34,8 +34,6 @@ TEST(Error, CodeNamesAreStableAndLowerCase)
     EXPECT_STREQ(errorCodeName(ErrorCode::FaultInjected),
                  "fault-injected");
     EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
-    EXPECT_STREQ(errorCodeName(ErrorCode::JournalCorrupt),
-                 "journal-corrupt");
     EXPECT_STREQ(errorCodeName(ErrorCode::JobTimeout), "job-timeout");
     EXPECT_STREQ(errorCodeName(ErrorCode::ServerOverloaded),
                  "server-overloaded");
@@ -66,7 +64,6 @@ TEST(Error, OnlyIoLockAndTimeoutClassesAreTransient)
     EXPECT_FALSE(isTransientError(ErrorCode::Cancelled));
     EXPECT_FALSE(isTransientError(ErrorCode::FaultInjected));
     EXPECT_FALSE(isTransientError(ErrorCode::Internal));
-    EXPECT_FALSE(isTransientError(ErrorCode::JournalCorrupt));
     EXPECT_FALSE(isTransientError(ErrorCode::ProtocolError));
     EXPECT_FALSE(isTransientError(ErrorCode::SocketBusy));
 }

@@ -19,16 +19,17 @@
  * flag is scoped to the subcommands that read it (kFlags): passing it
  * to any other subcommand is a usage error (exit 2), never ignored.
  * `trace-cache warm` pre-generates the traces a spec (or an explicit
- * workload list) needs, so subsequent runs skip generation.
+ * workload list) needs, so subsequent runs skip generation; it
+ * stores no results. `trace-cache stats` and `clear` cover the
+ * result store in the "results" subdirectory too.
  *
  * Exit codes (documented in --help): 0 success, 2 usage error,
  * 3 spec parse/validation error, 4 runtime failure (a job or sink
  * failed and the run could not complete fully under fail-fast),
  * 5 partial failure (--keep-going: some jobs failed, the rest
  * completed and the partial results were written), 6 interrupted
- * (SIGINT/SIGTERM drained the run; completed jobs were journaled
- * when --resume/--journal was on, so rerunning with --resume
- * continues where it stopped).
+ * (SIGINT/SIGTERM drained the run; completed jobs are in the result
+ * store, so rerunning the same command continues where it stopped).
  */
 
 #include <algorithm>
@@ -47,6 +48,7 @@
 #include "common/cancellation.hh"
 #include "common/exit_codes.hh"
 #include "driver/driver.hh"
+#include "driver/result_store.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/pipelines.hh"
@@ -100,13 +102,13 @@ usage()
         "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
         "      [--keep-going | --fail-fast] [--progress]\n"
         "      [--metrics-out FILE] [--trace-out FILE]\n"
-        "      [--resume | --journal FILE] [--no-journal-fsync]\n"
         "      [--job-timeout SEC]\n"
         "  list-workloads\n"
         "  list-pipelines\n"
         "  trace-cache warm <spec.json | workload...>\n"
         "      [--threads N] [--records N] [--trace-cache-dir DIR]\n"
         "  trace-cache clear [--trace-cache-dir DIR]\n"
+        "      (traces and stored results)\n"
         "  trace-cache stats [--trace-cache-dir DIR]\n"
         "  serve --socket PATH [--serve-workers N]\n"
         "      [--max-queue N] [--max-frame-bytes N]\n"
@@ -136,24 +138,22 @@ usage()
         "                 (the default unless the spec sets\n"
         "                 \"keep_going\": true)\n"
         "\n"
+        "result store (run, serve): every simulated job and baseline\n"
+        "  is stored under <trace-cache-dir>/results, keyed by its\n"
+        "  inputs and a hash of this executable, and served to any\n"
+        "  later run that needs it (output is byte-identical). It is\n"
+        "  on exactly when the trace cache is; rerunning an\n"
+        "  interrupted run continues where it stopped.\n"
+        "\n"
         "long-running sweeps (run):\n"
-        "  --resume       checkpoint each completed job to\n"
-        "                 <spec>.journal and replay completed jobs\n"
-        "                 from it on restart (output is\n"
-        "                 byte-identical to an uninterrupted run)\n"
-        "  --journal FILE same, with an explicit journal path\n"
-        "  --no-journal-fsync\n"
-        "                 skip the per-append fsync (faster; an\n"
-        "                 entry then survives process death, not\n"
-        "                 power loss)\n"
         "  --job-timeout SEC\n"
         "                 per-job watchdog deadline: an overrunning\n"
         "                 job is cancelled, recorded as a transient\n"
         "                 timeout, and retried; overrides the spec's\n"
         "                 \"deadline_s\" (0 disables both)\n"
-        "  SIGINT/SIGTERM drain in-flight jobs, flush the journal\n"
-        "                 and partial sinks, and exit 6; a second\n"
-        "                 signal force-kills\n"
+        "  SIGINT/SIGTERM drain in-flight jobs, flush partial\n"
+        "                 sinks, and exit 6; a second signal\n"
+        "                 force-kills\n"
         "\n"
         "serving (serve / client; protocol in README \"Serving\"):\n"
         "  serve keeps traces and baselines resident, so a repeated\n"
@@ -173,9 +173,6 @@ struct Flags
 {
     driver::DriverOptions opts;
     std::vector<std::string> positional;
-
-    /** --resume: journal at <spec>.journal (path known post-parse). */
-    bool resume = false;
 
     std::string socketPath;          ///< --socket (serve, client)
     serve::ServeOptions serveOpts;   ///< daemon knobs (serve)
@@ -249,12 +246,6 @@ const FlagDef kFlags[] = {
      [](Flags &f, const FlagValue &v) { f.opts.metricsOut = v.text; }},
     {"--trace-out", kRun, A::Text, 0,
      [](Flags &f, const FlagValue &v) { f.opts.traceOut = v.text; }},
-    {"--resume", kRun, A::None, 0,
-     [](Flags &f, const FlagValue &) { f.resume = true; }},
-    {"--journal", kRun, A::Text, 0,
-     [](Flags &f, const FlagValue &v) { f.opts.journalPath = v.text; }},
-    {"--no-journal-fsync", kRun, A::None, 0,
-     [](Flags &f, const FlagValue &) { f.opts.journalFsync = false; }},
     {"--job-timeout", kRun, A::Seconds, 0,
      [](Flags &f, const FlagValue &v) {
          f.opts.jobTimeoutS = v.seconds;
@@ -382,11 +373,9 @@ cmdRun(const Flags &flags)
         auto spec =
             driver::ExperimentSpec::fromFile(flags.positional[0]);
         driver::DriverOptions opts = flags.opts;
-        if (flags.resume && opts.journalPath.empty())
-            opts.journalPath = flags.positional[0] + ".journal";
-        // The shutdown token rides along unconditionally: without a
-        // journal an interrupt still drains cleanly and exits 6, it
-        // just has nothing to resume from.
+        // The shutdown token rides along unconditionally: without the
+        // result store (--no-trace-cache) an interrupt still drains
+        // cleanly and exits 6, a rerun just starts over.
         installShutdownHandlers();
         opts.shutdown = &gShutdown;
         driver::ExperimentDriver drv(std::move(spec),
@@ -410,7 +399,7 @@ cmdRun(const Flags &flags)
                          "write\n");
         // A signal trumps the failure codes: the skipped/cancelled
         // jobs are the interrupt's doing, and exit 6 tells scripts
-        // "rerun with --resume", not "a job is broken".
+        // "rerun to continue", not "a job is broken".
         if (gSignal != 0) {
             std::fprintf(
                 stderr,
@@ -421,9 +410,7 @@ cmdRun(const Flags &flags)
                 report.results.size() - report.failedJobs == 1
                     ? ""
                     : "s",
-                flags.resume || !flags.opts.journalPath.empty()
-                    ? "; rerun with --resume to continue"
-                    : "");
+                drv.traceCacheEnabled() ? "; rerun to continue" : "");
             rc = static_cast<int>(ExitCode::Interrupted);
         }
         return rc;
@@ -633,8 +620,10 @@ cmdTraceCacheClear(const Flags &flags)
 {
     trace::TraceCache cache(flags.opts.traceCacheDir);
     std::size_t removed = cache.clear();
-    std::printf("removed %zu cached trace(s) from %s\n", removed,
-                cache.dir().c_str());
+    std::size_t results = driver::ResultStore::clear(cache.dir());
+    std::printf("removed %zu cached trace(s) and %zu stored "
+                "result(s) from %s\n",
+                removed, results, cache.dir().c_str());
     return 0;
 }
 
@@ -664,6 +653,11 @@ cmdTraceCacheStats(const Flags &flags)
             std::printf("  format v%u: %zu entr%s\n", version, count,
                         count == 1 ? "y" : "ies");
     }
+    auto results = driver::ResultStore::usage(cache.dir());
+    std::printf("%zu stored result(s), %llu bytes in %s/results\n",
+                results.entries,
+                static_cast<unsigned long long>(results.bytes),
+                cache.dir().c_str());
 
     // Quarantined entries and the durable health counters
     // (accumulated across every process that used this directory).
