@@ -31,12 +31,6 @@ errorCodeName(ErrorCode code)
         return "internal";
       case ErrorCode::JobTimeout:
         return "job-timeout";
-      case ErrorCode::ServerOverloaded:
-        return "server-overloaded";
-      case ErrorCode::ProtocolError:
-        return "protocol-error";
-      case ErrorCode::SocketBusy:
-        return "socket-busy";
     }
     return "unknown";
 }
@@ -51,9 +45,6 @@ isTransientError(ErrorCode code)
       // machine may simply have been overloaded, so a fresh attempt
       // (with a fresh deadline) is worth one retry.
       case ErrorCode::JobTimeout:
-      // Overload clears as soon as the daemon's queue drains, and the
-      // response carries a retry-after hint saying when to try.
-      case ErrorCode::ServerOverloaded:
         return true;
       default:
         return false;

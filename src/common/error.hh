@@ -42,9 +42,6 @@ enum class ErrorCode : std::uint8_t
     FaultInjected,   ///< a deterministic test fault fired
     Internal,        ///< everything else (wrapped std::exception)
     JobTimeout,      ///< watchdog deadline cancelled the job
-    ServerOverloaded,///< serve daemon shed the request (queue full)
-    ProtocolError,   ///< malformed/oversize serve frame or request
-    SocketBusy,      ///< a live daemon already owns the socket path
 };
 
 /** Canonical lower-case name of a code ("trace-corrupt", ...). */

@@ -6,18 +6,16 @@ namespace prophet
 const char *
 exitCodesHelp()
 {
-    return "exit codes (shared by run, serve, and client):\n"
+    return "exit codes:\n"
            "  0  success\n"
            "  2  usage error\n"
            "  3  spec parse/validation error\n"
-           "  4  runtime failure (job, pipeline, sink, or server\n"
-           "     request — including an overloaded or unreachable\n"
-           "     serve daemon)\n"
+           "  4  runtime failure (job, pipeline, or sink)\n"
            "  5  partial failure (--keep-going: some jobs failed,\n"
            "     the rest completed)\n"
-           "  6  interrupted (SIGINT/SIGTERM drained the run or\n"
-           "     daemon; completed jobs are in the result store,\n"
-           "     so rerunning the same command continues)\n";
+           "  6  interrupted (SIGINT/SIGTERM drained the run;\n"
+           "     completed jobs are in the result store, so\n"
+           "     rerunning the same command continues)\n";
 }
 
 ExitCode

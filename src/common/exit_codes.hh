@@ -1,10 +1,9 @@
 /**
  * @file
- * The process exit codes every prophet entry point shares — the
- * `prophet run` CLI, the `prophet serve` daemon, and `prophet
- * client`. One enum, one help blurb, one ErrorCode mapping: the
- * documented list cannot drift between --help and the serve/client
- * paths because they all print and compute from this module.
+ * The `prophet` CLI's process exit codes. One enum, one help blurb,
+ * one ErrorCode mapping: the documented list cannot drift from what
+ * the commands return because --help prints, and every command
+ * computes its exit from, this module.
  */
 
 #ifndef PROPHET_COMMON_EXIT_CODES_HH
@@ -21,16 +20,12 @@ enum class ExitCode : int
     Success = 0,        ///< everything ran and every sink wrote
     Usage = 2,          ///< bad command line
     SpecInvalid = 3,    ///< spec parse/validation error
-    RuntimeFailure = 4, ///< a job, sink, or server request failed
+    RuntimeFailure = 4, ///< a job or sink failed
     PartialFailure = 5, ///< keep-going: some jobs failed, rest wrote
-    Interrupted = 6,    ///< signal drain / server drained the request
+    Interrupted = 6,    ///< a signal drained the run
 };
 
-/**
- * The canonical --help "exit codes:" block, shared verbatim by
- * `prophet --help` and the serve/client usage text. Ends with a
- * newline.
- */
+/** The canonical --help "exit codes:" block. Ends with a newline. */
 const char *exitCodesHelp();
 
 /**

@@ -20,15 +20,6 @@
  *                      written, the failure is logged once, the run
  *                      continues, and that result is simulated
  *                      again by the next run that needs it
- *   serve.accept       the serve daemon's accept(2): the connection
- *                      is dropped and counted under
- *                      "serve.accept_errors"; the daemon keeps
- *                      accepting
- *   serve.frame_read   a frame read on a serve connection fails as
- *                      a simulated I/O error; the daemon closes that
- *                      connection and keeps serving the rest
- *   serve.frame_write  a frame write fails mid-response; the request
- *                      slot is freed and the daemon keeps serving
  *
  * Arming: PROPHET_FAULTS="site:nth[:count]" (comma-separated list).
  * The site's hit counter starts at 1; the fault fires on hits

@@ -476,12 +476,6 @@ ExperimentDriver::ExperimentDriver(ExperimentSpec spec_in,
     : spec(std::move(spec_in)), opts(std::move(opts_in))
 {}
 
-void
-ExperimentDriver::addSink(std::unique_ptr<Sink> sink)
-{
-    extraSinks.push_back(std::move(sink));
-}
-
 unsigned
 ExperimentDriver::effectiveThreads() const
 {
@@ -517,11 +511,8 @@ ExperimentDriver::run()
     // Fresh instruments per run: a metrics report never carries a
     // previous run's counts. resetValues() keeps every registration,
     // so references cached across runs stay valid. Invisible without
-    // the observability flags — it writes no output by itself. The
-    // serve daemon opts out: its counters are daemon-lifetime values
-    // and concurrent requests must not zero each other mid-flight.
-    if (opts.resetMetrics)
-        metrics::Registry::instance().resetValues();
+    // the observability flags — it writes no output by itself.
+    metrics::Registry::instance().resetValues();
     const bool tracing = !opts.traceOut.empty();
     if (tracing) {
         span::reset();
@@ -538,17 +529,9 @@ ExperimentDriver::run()
         return report;
     }
 
-    // Either a per-run Runner (the historical path) or the caller's
-    // resident one (the serve daemon — trace/baseline caches then
-    // outlive this run and warm the next request for the same
-    // configuration).
-    std::unique_ptr<sim::Runner> owned_runner;
-    if (!opts.runner)
-        owned_runner = std::make_unique<sim::Runner>(
-            spec.baseConfig(), effectiveRecords());
-    sim::Runner &runner = opts.runner ? *opts.runner : *owned_runner;
+    sim::Runner runner(spec.baseConfig(), effectiveRecords());
     std::shared_ptr<trace::TraceCache> cache;
-    if (owned_runner && traceCacheEnabled()) {
+    if (traceCacheEnabled()) {
         cache =
             std::make_shared<trace::TraceCache>(opts.traceCacheDir);
         runner.setTraceCache(cache);
@@ -582,30 +565,36 @@ ExperimentDriver::run()
     CancellationToken local_token;
     CancellationToken &token =
         opts.shutdown ? *opts.shutdown : local_token;
-    // An external (resident) runner is shared by concurrent runs, so
-    // the runner-wide token stays untouched — a per-run token wired
-    // there would dangle after this frame returns and clobber the
-    // other runs' cancellation. The watchdog (forced on by
-    // opts.shutdown below) routes both shutdown and fail-fast to its
-    // per-attempt thread-local tokens instead.
-    if (owned_runner)
-        runner.setCancellation(&token);
+    runner.setCancellation(&token);
 
     const std::size_t per = spec.pipelines.size();
     const std::size_t records = effectiveRecords();
 
     // Result store: on exactly when the trace cache is, in its
-    // "results" subdirectory — the per-run cache above, or the
-    // resident runner's. A spec whose jobs another run already
+    // "results" subdirectory. A spec whose jobs another run already
     // simulated (fig11 after fig10, a rerun of an interrupted sweep)
-    // is then served instead of simulated, bit for bit.
+    // is then served instead of simulated, bit for bit. Prophet
+    // profiles go through it too, below the pipelines: any job that
+    // profiles a workload — its own input or a learn input — reuses
+    // a profile an earlier run stored.
     std::unique_ptr<ResultStore> store;
-    if (trace::TraceCache *tc = runner.traceCache()) {
+    if (cache) {
         if (std::uint64_t model = ResultStore::executableFingerprint())
-            store = std::make_unique<ResultStore>(tc->dir(), model);
+            store = std::make_unique<ResultStore>(cache->dir(), model);
         else
             prophet_warnf("store: cannot fingerprint the executable; "
                           "running without the result store");
+    }
+    if (store) {
+        sim::Runner::ProfileStore hooks;
+        hooks.load = [&](const std::string &w) {
+            return store->getProfile(spec.profileIdentity(records, w));
+        };
+        hooks.save = [&](const std::string &w,
+                         const core::ProfileSnapshot &profile) {
+            store->put(spec.profileIdentity(records, w), profile);
+        };
+        runner.setProfileStore(std::move(hooks));
     }
 
     // Watchdog: only when a per-job deadline or an external shutdown
@@ -632,10 +621,8 @@ ExperimentDriver::run()
             [&](std::size_t i) {
                 const std::string &w = spec.workloads[i];
                 span::Span warm_span("baseline " + w, "job");
-                // Scope the warm-up under the watchdog too: on a
-                // shared resident runner this is the only cancellation
-                // route, and a deadline applies to baselines as much
-                // as to the jobs they feed.
+                // A deadline applies to baselines as much as to the
+                // jobs they feed.
                 AttemptScope scope(watchdog.get(), w + "/baseline");
                 if (!store) {
                     runner.baseline(w);
@@ -775,9 +762,8 @@ ExperimentDriver::run()
     report.meta.threads = engine.threads();
     report.meta.wallSeconds = elapsed.count();
     report.meta.timestamp = iso8601UtcNow();
-    if (trace::TraceCache *tc =
-            cache ? cache.get() : runner.traceCache()) {
-        auto cs = tc->stats();
+    if (cache) {
+        auto cs = cache->stats();
         report.meta.traceCacheHits = cs.hits;
         report.meta.traceCacheMisses = cs.misses;
     }
@@ -799,22 +785,12 @@ ExperimentDriver::run()
             + metrics::histogram("phase.simulate_ns").sum())
         / 1e9;
 
-    // Deliver in spec order to the spec's sinks plus any extras. A
-    // suppressing caller (the serve daemon) replaced the spec's sinks
-    // with its own capturing ones via addSink, so only extras run —
-    // including the implicit default table.
+    // Deliver in spec order to the spec's sinks.
     std::vector<std::unique_ptr<Sink>> sinks;
-    if (opts.suppressSpecSinks) {
-        // nothing from the spec
-    } else if (spec.sinks.empty()) {
+    if (spec.sinks.empty())
         sinks.push_back(makeSink(SinkSpec{}));
-    } else {
-        for (const auto &s : spec.sinks)
-            sinks.push_back(makeSink(s));
-    }
-    for (auto &s : extraSinks)
-        sinks.push_back(std::move(s));
-    extraSinks.clear();
+    for (const auto &s : spec.sinks)
+        sinks.push_back(makeSink(s));
     {
         span::Span sink_span("sink-render", "phase");
         metrics::ScopedTimer sink_timer(

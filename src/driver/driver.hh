@@ -71,42 +71,6 @@ struct DriverOptions
      */
     CancellationToken *shutdown = nullptr;
 
-    // ---- resident-server execution (the serve daemon) -------------
-
-    /**
-     * External resident Runner to execute against instead of
-     * constructing a per-run one. The caller owns its lifetime,
-     * trace-cache attachment, and base configuration (which must
-     * match the spec's baseConfig()/records — the serve daemon keys
-     * its runner pool on exactly those fields). The result store
-     * lives under the runner's trace cache, and is off without one.
-     * The driver never calls setCancellation or setTraceCache on an
-     * external runner: per-job cancellation rides the watchdog's
-     * thread-local tokens, so concurrent requests sharing one Runner
-     * cannot clobber each other's tokens (or leave a dangling one
-     * behind).
-     */
-    sim::Runner *runner = nullptr;
-
-    /**
-     * Reset the process-wide metrics registry at the start of run()
-     * — the historical CLI behavior, so a --metrics-out document
-     * never carries a previous run's counts. The serve daemon turns
-     * this off: its serve.* counters, request-latency histogram, and
-     * resident-cache counters must survive across requests (the
-     * `health` request reports cumulative daemon-lifetime values).
-     */
-    bool resetMetrics = true;
-
-    /**
-     * Ignore the spec's own sinks and deliver results only to
-     * addSink() sinks. The serve daemon substitutes capturing sinks
-     * (driver/sink.hh makeCapturingSink) so rendered output travels
-     * back in the response frame and the daemon never writes files
-     * in its own working directory on a client's behalf.
-     */
-    bool suppressSpecSinks = false;
-
     // ---- observability (all default-off: a run with none of these
     // set produces byte-identical outputs to a build without them) --
 
@@ -140,18 +104,12 @@ struct ExperimentReport
     bool ok() const { return failedJobs == 0 && sinksOk; }
 };
 
-/**
- * Runs one spec. Construct, optionally add extra sinks on top of the
- * spec's own, then run() once.
- */
+/** Runs one spec. Construct, then run() once. */
 class ExperimentDriver
 {
   public:
     explicit ExperimentDriver(ExperimentSpec spec,
                               DriverOptions opts = {});
-
-    /** A sink in addition to the spec's sinks (tests, CLI). */
-    void addSink(std::unique_ptr<Sink> sink);
 
     /** Thread count after overrides (as SweepEngine resolves it). */
     unsigned effectiveThreads() const;
@@ -161,7 +119,8 @@ class ExperimentDriver
 
     /**
      * Whether the on-disk trace cache — and with it the result store
-     * in its "results" subdirectory — will be consulted.
+     * (job results, baselines and Prophet profiles) in its "results"
+     * subdirectory — will be consulted.
      */
     bool traceCacheEnabled() const;
 
@@ -178,7 +137,6 @@ class ExperimentDriver
   private:
     ExperimentSpec spec;
     DriverOptions opts;
-    std::vector<std::unique_ptr<Sink>> extraSinks;
 };
 
 /** Compute one metric by name for a finished run. */
@@ -187,11 +145,10 @@ double computeMetric(sim::Runner &runner, const std::string &metric,
                      const sim::RunStats &stats);
 
 /**
- * The documented process exit code a finished report maps onto —
- * shared by the `prophet run` CLI and the serve daemon's response
- * frames, so the two paths cannot disagree: 0 success, 5 partial
- * under keep-going, 4 runtime failure (including a failed sink),
- * 6 interrupted (the external shutdown token drained the run).
+ * The documented process exit code a finished report maps onto
+ * (common/exit_codes.hh): 0 success, 5 partial under keep-going,
+ * 4 runtime failure (including a failed sink), 6 interrupted (the
+ * external shutdown token drained the run).
  */
 int exitCodeForReport(const ExperimentReport &report, bool keepGoing);
 

@@ -13,6 +13,7 @@
 #include "common/fault_injection.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
+#include "core/profile.hh"
 #include "driver/json.hh"
 
 namespace fs = std::filesystem;
@@ -130,12 +131,12 @@ struct ByteReader
     }
 };
 
-// A new RunStats field that putStats/getStats do not carry would be
+// A new RunStats field that encode/decode do not carry would be
 // silently zero on every store hit. The size pins the struct (x86-64
 // LP64 layout): when it changes, update the serializer, then this.
 static_assert(sizeof(sim::RunStats) == 272,
               "sim::RunStats changed: update the serializer "
-              "(putStats/getStats) and this size");
+              "(encode/decode of RunStats) and this size");
 
 /**
  * The full RunStats, field by field. Every statistic a sink or a
@@ -145,7 +146,7 @@ static_assert(sizeof(sim::RunStats) == 272,
  * a simulated one.
  */
 void
-putStats(ByteWriter &w, const sim::RunStats &s)
+encode(ByteWriter &w, const sim::RunStats &s)
 {
     w.putDouble(s.ipc);
     w.put64(s.cycles);
@@ -185,10 +186,9 @@ putStats(ByteWriter &w, const sim::RunStats &s)
     }
 }
 
-sim::RunStats
-getStats(ByteReader &r)
+void
+decode(ByteReader &r, sim::RunStats &s)
 {
-    sim::RunStats s;
     s.ipc = r.getDouble();
     s.cycles = r.get64();
     s.instructions = r.get64();
@@ -228,7 +228,47 @@ getStats(ByteReader &r)
         std::uint64_t pc = r.get64();
         s.pcMisses.emplace(static_cast<PC>(pc), r.get64());
     }
-    return s;
+}
+
+// Same guard for the profile payload's per-PC record.
+static_assert(sizeof(core::PcProfile) == 24,
+              "core::PcProfile changed: update the serializer "
+              "(encode/decode of ProfileSnapshot) and this size");
+
+/**
+ * A Prophet profile: allocatedEntries, then perPc in insertion
+ * order, so the analyzer and learner iterate a served profile in
+ * the order they would iterate the simulated one.
+ */
+void
+encode(ByteWriter &w, const core::ProfileSnapshot &p)
+{
+    w.put64(p.allocatedEntries);
+    w.put64(p.perPc.size());
+    for (const auto &[pc, prof] : p.perPc) {
+        w.put64(static_cast<std::uint64_t>(pc));
+        w.putDouble(prof.accuracy);
+        w.put64(prof.issuedPrefetches);
+        w.put64(prof.l2Misses);
+    }
+}
+
+void
+decode(ByteReader &r, core::ProfileSnapshot &p)
+{
+    p.allocatedEntries = r.get64();
+    std::uint64_t n = r.get64();
+    if (n > r.left / 32)
+        throw std::runtime_error("per-PC profile count exceeds payload");
+    p.perPc.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const PC pc = static_cast<PC>(r.get64());
+        core::PcProfile prof;
+        prof.accuracy = r.getDouble();
+        prof.issuedPrefetches = r.get64();
+        prof.l2Misses = r.get64();
+        p.perPc.emplace(pc, prof);
+    }
 }
 
 bool
@@ -293,6 +333,33 @@ ResultStore::path(const std::string &key_text) const
 std::optional<sim::RunStats>
 ResultStore::get(const json::Value &identity)
 {
+    return load<sim::RunStats>(identity);
+}
+
+std::optional<core::ProfileSnapshot>
+ResultStore::getProfile(const json::Value &identity)
+{
+    return load<core::ProfileSnapshot>(identity);
+}
+
+bool
+ResultStore::put(const json::Value &identity,
+                 const sim::RunStats &stats)
+{
+    return save(identity, stats);
+}
+
+bool
+ResultStore::put(const json::Value &identity,
+                 const core::ProfileSnapshot &profile)
+{
+    return save(identity, profile);
+}
+
+template <class T>
+std::optional<T>
+ResultStore::load(const json::Value &identity)
+{
     const std::string key = keyText(identity);
     const std::string file = path(key);
     std::error_code ec;
@@ -322,11 +389,12 @@ ResultStore::get(const json::Value &identity)
         // another result.
         if (r.getString() != key)
             throw std::runtime_error("entry holds a different key");
-        sim::RunStats stats = getStats(r);
+        T value;
+        decode(r, value);
         if (r.left != 0)
             throw std::runtime_error("trailing bytes");
         metrics::counter("store.hits").inc();
-        return stats;
+        return value;
     } catch (const std::exception &e) {
         metrics::counter("store.corrupt").inc();
         metrics::counter("store.misses").inc();
@@ -336,9 +404,9 @@ ResultStore::get(const json::Value &identity)
     }
 }
 
+template <class T>
 bool
-ResultStore::put(const json::Value &identity,
-                 const sim::RunStats &stats)
+ResultStore::save(const json::Value &identity, const T &value)
 {
     const std::string key = keyText(identity);
     const std::string final_path = path(key);
@@ -347,7 +415,7 @@ ResultStore::put(const json::Value &identity,
     w.put32(kEntryMagic);
     w.put32(kFormatVersion);
     w.putString(key);
-    putStats(w, stats);
+    encode(w, value);
     w.put64(fnv1a64(w.buf.data(), w.buf.size()));
 
     auto failed = [&](const char *why) {

@@ -1,16 +1,19 @@
 /**
  * @file
  * The content-addressed result store: one small file per simulated
- * result — a job's RunStats or a workload's baseline — under
- * "<trace-cache-dir>/results/<16-hex key>.prs". The experiment
- * driver consults it before it simulates a job or a baseline and
- * writes to it after a successful one, so a spec whose results
- * another run already produced (fig11 after fig10, or a rerun of an
- * interrupted sweep) is served instead of simulated.
+ * result — a job's RunStats, a workload's baseline, or a workload's
+ * Prophet profile — under "<trace-cache-dir>/results/<16-hex
+ * key>.prs". The experiment driver consults it before it simulates a
+ * job, a baseline or a profile and writes to it after a successful
+ * one, so a spec whose results another run already produced (fig11
+ * after fig10, or a rerun of an interrupted sweep) is served instead
+ * of simulated, and a new Prophet spec over the same machine skips
+ * profiling (fig16a after fig10).
  *
  * The key is FNV-1a-64 over a canonical JSON text naming every input
- * the result depends on (ExperimentSpec::resultIdentity) plus the
- * *model fingerprint*: a hash of the running executable. Any rebuild
+ * the result depends on (ExperimentSpec::resultIdentity or
+ * profileIdentity) plus the *model fingerprint*: a hash of the
+ * running executable. Any rebuild
  * that changes the simulator's code therefore misses, so the store
  * can never serve results from a different simulator; there is no
  * version constant to remember to bump.
@@ -32,6 +35,7 @@
 #include <optional>
 #include <string>
 
+#include "core/profile.hh"
 #include "driver/json.hh"
 #include "sim/system.hh"
 
@@ -82,12 +86,20 @@ class ResultStore
      */
     std::optional<sim::RunStats> get(const json::Value &identity);
 
+    /** The stored profile for @p identity; as get(). */
+    std::optional<core::ProfileSnapshot>
+    getProfile(const json::Value &identity);
+
     /**
      * Store @p stats under @p identity (temp file + rename). A failed
      * write — or the fault site "store.write" — logs once per store
      * and returns false; the run continues. Thread-safe.
      */
     bool put(const json::Value &identity, const sim::RunStats &stats);
+
+    /** Store @p profile under @p identity; as put() for stats. */
+    bool put(const json::Value &identity,
+             const core::ProfileSnapshot &profile);
 
     /** Count and bytes of the result files under @p cache_dir. */
     static Usage usage(const std::string &cache_dir);
@@ -97,6 +109,12 @@ class ResultStore
     static std::size_t clear(const std::string &cache_dir);
 
   private:
+    /** The framing every entry kind shares (defined in the .cc). */
+    template <class T>
+    std::optional<T> load(const json::Value &identity);
+    template <class T>
+    bool save(const json::Value &identity, const T &value);
+
     std::string dirPath;
     std::uint64_t model;
     std::atomic<bool> writeFailedOnce{false};

@@ -14,11 +14,8 @@ namespace prophet::driver
 namespace
 {
 
-/**
- * printf-append into a string — the table sink renders through this
- * so one code path feeds both stdout and the serve daemon's captured
- * response bytes, and the two cannot drift.
- */
+/** printf-append into a string: the table sink renders through
+ *  this and writes the whole table with one fwrite. */
 void
 appendf(std::string &out, const char *fmt, ...)
 {
@@ -36,6 +33,32 @@ appendf(std::string &out, const char *fmt, ...)
         out.resize(old + static_cast<std::size_t>(n));
     }
     va_end(ap2);
+}
+
+/**
+ * Write a file sink's rendered document to @p path, reporting the
+ * outcome on stderr under @p who. False when the file cannot be
+ * written, so the run fails instead of silently dropping results.
+ */
+bool
+writeDocument(const char *who, const std::string &path,
+              const std::string &doc)
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out) {
+        std::fprintf(stderr, "%s: cannot write %s\n", who,
+                     path.c_str());
+        return false;
+    }
+    out << doc;
+    out.flush();
+    if (!out) {
+        std::fprintf(stderr, "%s: write to %s failed\n", who,
+                     path.c_str());
+        return false;
+    }
+    std::fprintf(stderr, "%s: wrote %s\n", who, path.c_str());
+    return true;
 }
 
 /** Metric value for a job (metrics are precomputed by the driver). */
@@ -57,11 +80,6 @@ metricValue(const JobResult &r, const std::string &metric)
 class TableSink : public Sink
 {
   public:
-    explicit TableSink(std::string *capture = nullptr)
-        : capture(capture)
-    {
-    }
-
     void
     result(const JobResult &r) override
     {
@@ -95,15 +113,11 @@ class TableSink : public Sink
                 meta.wallSeconds, meta.traceLoadSeconds,
                 meta.simulateSeconds, meta.threads,
                 meta.threads == 1 ? "" : "s");
-        if (capture)
-            *capture = std::move(out);
-        else
-            std::fwrite(out.data(), 1, out.size(), stdout);
+        std::fwrite(out.data(), 1, out.size(), stdout);
         return true;
     }
 
   private:
-    std::string *capture; ///< null = stdout (the CLI path)
     std::vector<JobResult> results;
 
     const JobResult &
@@ -215,11 +229,7 @@ statsToJson(const sim::RunStats &s)
 class JsonFileSink : public Sink
 {
   public:
-    explicit JsonFileSink(std::string path,
-                          std::string *capture = nullptr)
-        : path(std::move(path)), capture(capture)
-    {
-    }
+    explicit JsonFileSink(std::string path) : path(std::move(path)) {}
 
     void
     result(const JobResult &r) override
@@ -272,30 +282,11 @@ class JsonFileSink : public Sink
         root.set("results", std::move(rows));
 
         std::string doc = json::dump(root, 2);
-        if (capture) {
-            *capture = std::move(doc);
-            return true;
-        }
-        std::ofstream out(path, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "json sink: cannot write %s\n",
-                         path.c_str());
-            return false;
-        }
-        out << doc;
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "json sink: write to %s failed\n",
-                         path.c_str());
-            return false;
-        }
-        std::fprintf(stderr, "json sink: wrote %s\n", path.c_str());
-        return true;
+        return writeDocument("json sink", path, doc);
     }
 
   private:
     std::string path;
-    std::string *capture; ///< null = write the file (the CLI path)
     json::Value rows = json::Value::makeArray();
     std::size_t failedCount = 0;
 };
@@ -311,11 +302,7 @@ class JsonFileSink : public Sink
 class CsvFileSink : public Sink
 {
   public:
-    explicit CsvFileSink(std::string path,
-                         std::string *capture = nullptr)
-        : path(std::move(path)), capture(capture)
-    {
-    }
+    explicit CsvFileSink(std::string path) : path(std::move(path)) {}
 
     void
     result(const JobResult &r) override
@@ -374,30 +361,11 @@ class CsvFileSink : public Sink
             doc += line;
             doc += "\n";
         }
-        if (capture) {
-            *capture = std::move(doc);
-            return true;
-        }
-        std::ofstream out(path, std::ios::binary);
-        if (!out) {
-            std::fprintf(stderr, "csv sink: cannot write %s\n",
-                         path.c_str());
-            return false;
-        }
-        out << doc;
-        out.flush();
-        if (!out) {
-            std::fprintf(stderr, "csv sink: write to %s failed\n",
-                         path.c_str());
-            return false;
-        }
-        std::fprintf(stderr, "csv sink: wrote %s\n", path.c_str());
-        return true;
+        return writeDocument("csv sink", path, doc);
     }
 
   private:
     std::string path;
-    std::string *capture; ///< null = write the file (the CLI path)
     std::vector<JobResult> results;
 
     static std::string
@@ -444,20 +412,6 @@ makeSink(const SinkSpec &spec)
         return std::make_unique<JsonFileSink>(spec.path);
       case SinkSpec::Kind::CsvFile:
         return std::make_unique<CsvFileSink>(spec.path);
-    }
-    prophet_panic("unhandled sink kind");
-}
-
-std::unique_ptr<Sink>
-makeCapturingSink(const SinkSpec &spec, std::string *out)
-{
-    switch (spec.kind) {
-      case SinkSpec::Kind::Table:
-        return std::make_unique<TableSink>(out);
-      case SinkSpec::Kind::JsonFile:
-        return std::make_unique<JsonFileSink>(spec.path, out);
-      case SinkSpec::Kind::CsvFile:
-        return std::make_unique<CsvFileSink>(spec.path, out);
     }
     prophet_panic("unhandled sink kind");
 }

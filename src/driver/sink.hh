@@ -106,18 +106,6 @@ class Sink
 /** Instantiate the sink a SinkSpec requests. */
 std::unique_ptr<Sink> makeSink(const SinkSpec &spec);
 
-/**
- * The same sink, but rendering into @p out instead of stdout/its
- * file: finish() assigns the byte-identical text the plain sink
- * would have emitted, touches no file, and prints no "wrote ..."
- * note. The serve daemon uses this to ship a request's rendered
- * sinks back in the response frame — the client, not the daemon,
- * then writes them where the spec said. @p out must outlive the
- * sink's finish().
- */
-std::unique_ptr<Sink> makeCapturingSink(const SinkSpec &spec,
-                                        std::string *out);
-
 /** Figure-style heading for a metric ("speedup" ->
  *  "Performance Speedup"). */
 std::string metricDisplayName(const std::string &metric);

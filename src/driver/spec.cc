@@ -578,10 +578,15 @@ hashDump(const std::string &text)
     return fnv1a64(text.data(), text.size());
 }
 
-/** The simulated-machine fields of resultHash and resultIdentity. */
+/**
+ * The simulated-machine fields of resultHash and the result
+ * identities; @p with_sampling false for a profile, which always
+ * sees the whole trace.
+ */
 void
 setMachineFields(const ExperimentSpec &spec, json::Value &root,
-                 std::size_t effective_records)
+                 std::size_t effective_records,
+                 bool with_sampling = true)
 {
     root.set("records", json::Value(effective_records));
     root.set("l1", json::Value(spec.l1));
@@ -591,7 +596,7 @@ setMachineFields(const ExperimentSpec &spec, json::Value &root,
         root.set("warmup_records", json::Value(spec.warmupRecords));
     // Sampling changes every reported number: two runs differing
     // only in schedule must never compare as bit-identical.
-    if (spec.sampling.enabled)
+    if (with_sampling && spec.sampling.enabled)
         root.set("sampling", samplingToJson(spec.sampling));
 }
 
@@ -638,6 +643,17 @@ ExperimentSpec::resultIdentity(
     if (pipeline)
         root.set("pipeline", pipelineToJson(*pipeline, false));
     setMachineFields(*this, root, effective_records);
+    return root;
+}
+
+json::Value
+ExperimentSpec::profileIdentity(std::size_t effective_records,
+                                const std::string &workload) const
+{
+    json::Value root = json::Value::makeObject();
+    root.set("kind", json::Value("profile"));
+    root.set("workload", json::Value(workload));
+    setMachineFields(*this, root, effective_records, false);
     return root;
 }
 

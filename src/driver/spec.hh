@@ -180,6 +180,17 @@ struct ExperimentSpec
                                const sim::PipelineInstance *pipeline)
         const;
 
+    /**
+     * Identity of the Prophet profile of @p workload under this
+     * spec: kind, workload, records as run, l1, dram_channels and
+     * warmup_records — everything Runner::profileWorkload reads.
+     * Sampling is left out (profiling clears it), and so is every
+     * pipeline parameter, so each Prophet variant, sweep point and
+     * learn input over one machine shares one profile.
+     */
+    json::Value profileIdentity(std::size_t effective_records,
+                                const std::string &workload) const;
+
     /** The base SystemConfig the overrides produce. */
     sim::SystemConfig baseConfig() const;
 };

@@ -45,6 +45,14 @@ Runner::setThreadJobCancellation(const CancellationToken *token)
 }
 
 void
+Runner::setProfileStore(ProfileStore store)
+{
+    prophet_assert(store.load && store.save);
+    std::lock_guard<std::mutex> lock(cacheMu);
+    profileStore = std::move(store);
+}
+
+void
 Runner::injectBaseline(const std::string &workload, RunStats stats)
 {
     std::lock_guard<std::mutex> lock(cacheMu);
@@ -73,16 +81,8 @@ Runner::ensureWorkload(const std::string &workload)
     std::shared_ptr<trace::TraceCache> disk;
     {
         std::lock_guard<std::mutex> lock(cacheMu);
-        if (traces.count(workload)) {
-            // Residency hit: the serve daemon's warm-request payoff
-            // (the trace load the second request never pays), and
-            // the tick evictLruTrace orders its LRU scan by.
-            static metrics::Counter &resident_hits =
-                metrics::counter("runner.trace_resident_hits");
-            resident_hits.inc();
-            lastUse[workload] = ++useTick;
+        if (traces.count(workload))
             return;
-        }
         disk = cache;
     }
     // Generate outside the lock: generation is deterministic per
@@ -119,25 +119,6 @@ Runner::ensureWorkload(const std::string &workload)
     (void)it;
     if (inserted)
         generators.emplace(workload, std::move(gen));
-    lastUse[workload] = ++useTick;
-}
-
-std::vector<Runner::ResidentTrace>
-Runner::residentTraces()
-{
-    std::lock_guard<std::mutex> lock(cacheMu);
-    std::vector<ResidentTrace> out;
-    out.reserve(traces.size());
-    for (const auto &[w, tr] : traces) {
-        ResidentTrace r;
-        r.workload = w;
-        r.bytes = residentBytes(*tr);
-        auto it = lastUse.find(w);
-        r.lastUse = it == lastUse.end() ? 0 : it->second;
-        r.inUse = tr.use_count() > 1;
-        out.push_back(std::move(r));
-    }
-    return out;
 }
 
 std::size_t
@@ -150,37 +131,6 @@ Runner::residentTraceBytes()
         total += residentBytes(*tr);
     }
     return total;
-}
-
-std::size_t
-Runner::evictLruTrace()
-{
-    std::lock_guard<std::mutex> lock(cacheMu);
-    auto victim = traces.end();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (auto it = traces.begin(); it != traces.end(); ++it) {
-        // use_count > 1 = some run still holds the shared_ptr
-        // (runConfig pins it for the duration of the simulation);
-        // evicting would not free memory and would orphan the
-        // generator whose resolver that run may be using.
-        if (it->second.use_count() > 1)
-            continue;
-        auto lu = lastUse.find(it->first);
-        std::uint64_t tick = lu == lastUse.end() ? 0 : lu->second;
-        if (tick < oldest) {
-            oldest = tick;
-            victim = it;
-        }
-    }
-    if (victim == traces.end())
-        return 0;
-    std::size_t freed = residentBytes(*victim->second);
-    prophet_infof("runner: evicting resident trace %s (%zu bytes)",
-                  victim->first.c_str(), freed);
-    generators.erase(victim->first);
-    lastUse.erase(victim->first);
-    traces.erase(victim);
-    return freed;
 }
 
 const trace::Trace &
@@ -261,12 +211,55 @@ Runner::run(const PipelineInstance &pipeline,
 core::ProfileSnapshot
 Runner::profileWorkload(const std::string &workload)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        auto it = profiles.find(workload);
-        if (it != profiles.end())
-            return it->second;
+    for (;;) {
+        std::promise<core::ProfileSnapshot> mine;
+        std::shared_future<core::ProfileSnapshot> result;
+        bool owner = false;
+        ProfileStore store;
+        {
+            std::lock_guard<std::mutex> lock(cacheMu);
+            auto [it, first] = profiles.try_emplace(workload);
+            if (first)
+                it->second = mine.get_future().share();
+            result = it->second;
+            owner = first;
+            store = profileStore;
+        }
+        if (!owner) {
+            // Another caller profiles (or profiled) this workload.
+            // Its failure is its own — a cancelled job, an armed
+            // fault — so a waiter retries rather than inherit it.
+            try {
+                return result.get();
+            } catch (...) {
+                continue;
+            }
+        }
+        try {
+            std::optional<core::ProfileSnapshot> snap;
+            if (store.load)
+                snap = store.load(workload);
+            if (!snap) {
+                snap = simulateProfile(workload);
+                if (store.save)
+                    store.save(workload, *snap);
+            }
+            mine.set_value(std::move(*snap));
+        } catch (...) {
+            {
+                std::lock_guard<std::mutex> lock(cacheMu);
+                profiles.erase(workload);
+            }
+            mine.set_exception(std::current_exception());
+            throw;
+        }
+        return result.get();
     }
+}
+
+core::ProfileSnapshot
+Runner::simulateProfile(const std::string &workload)
+{
     std::shared_ptr<const trace::Trace> tr = traceShared(workload);
     span::Span profile_span("profile " + workload, "sim");
     SystemConfig cfg = base;
@@ -291,11 +284,7 @@ Runner::profileWorkload(const std::string &workload)
     }
     system.run(*tr);
     prophet_assert(system.prophet() != nullptr);
-    core::ProfileSnapshot snap = system.prophet()->takeSnapshot();
-    // Concurrent profilers compute the same deterministic snapshot;
-    // the first emplace wins and the caller gets a copy either way.
-    std::lock_guard<std::mutex> lock(cacheMu);
-    return profiles.emplace(workload, std::move(snap)).first->second;
+    return system.prophet()->takeSnapshot();
 }
 
 ProphetOutcome
@@ -328,9 +317,7 @@ Runner::runRpg2(const std::string &workload)
 {
     Rpg2Outcome out;
     const RunStats &base_stats = baseline(workload);
-    // Pin the trace for the whole pipeline: kernel identification
-    // reads it outside runConfig, and a pinned trace can never be
-    // evicted from under us by a concurrent evictLruTrace.
+    // Kernel identification reads the trace outside runConfig.
     std::shared_ptr<const trace::Trace> tr = traceShared(workload);
     const trace::Trace &t = *tr;
     const trace::IndirectResolver *resolver = resolverFor(workload);

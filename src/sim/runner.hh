@@ -9,9 +9,12 @@
 #ifndef PROPHET_SIM_RUNNER_HH
 #define PROPHET_SIM_RUNNER_HH
 
+#include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,9 +52,10 @@ struct Rpg2Outcome
  * sweep-engine workers. Traces are generated once, stored immutably
  * behind shared_ptr<const Trace>, and shared by every System run;
  * the generation and baseline caches are mutex-guarded. When two
- * workers race to fill a cache slot, both compute the (deterministic)
- * value and the first insert wins, so results never depend on
- * scheduling.
+ * workers race to fill a trace or baseline slot, both compute the
+ * (deterministic) value and the first insert wins, so results never
+ * depend on scheduling. Profiles are single-flight instead: the
+ * first caller profiles a workload and later callers wait for it.
  */
 class Runner
 {
@@ -72,9 +76,6 @@ class Runner
      * Pass nullptr to detach. The cache must outlive the Runner.
      */
     void setTraceCache(std::shared_ptr<trace::TraceCache> cache);
-
-    /** The attached trace cache (may be null). */
-    trace::TraceCache *traceCache() const { return cache.get(); }
 
     /**
      * Attach a cancellation token: every System this Runner builds
@@ -99,6 +100,30 @@ class Runner
      */
     static void setThreadJobCancellation(
         const CancellationToken *token);
+
+    /**
+     * Where profileWorkload keeps profiles beyond this Runner:
+     * @c load returns a stored profile of a workload (nullopt on a
+     * miss), @c save stores one just simulated. Both see only the
+     * workload name; the owner keys it under everything else a
+     * profile depends on (this Runner's base config and records).
+     * The driver attaches its result store here.
+     */
+    struct ProfileStore
+    {
+        std::function<std::optional<core::ProfileSnapshot>(
+            const std::string &workload)>
+            load;
+        std::function<void(const std::string &workload,
+                           const core::ProfileSnapshot &profile)>
+            save;
+    };
+
+    /**
+     * Attach a profile store (both hooks required). Set it before
+     * the first profileWorkload; the store must outlive the runs.
+     */
+    void setProfileStore(ProfileStore store);
 
     /**
      * Seed the baseline cache with externally obtained stats (a
@@ -143,8 +168,11 @@ class Runner
     /**
      * Profile a workload with the simplified temporal prefetcher
      * (Step 1) and return the counter snapshot. Snapshots are
-     * deterministic per workload and cached, so the learning
-     * pipelines re-profile for free.
+     * deterministic per workload, so each is made once per Runner:
+     * the first caller loads it from the attached profile store or
+     * simulates (and stores) it, and concurrent callers wait for
+     * that one result. A failed or cancelled profile is neither
+     * cached nor stored; a waiter then profiles the workload itself.
      */
     core::ProfileSnapshot profileWorkload(const std::string &workload);
 
@@ -171,33 +199,8 @@ class Runner
      */
     Rpg2Outcome runRpg2(const std::string &workload);
 
-    // ---- serve-mode residency control -------------------------------
-
-    /** One resident (in-memory) trace, for eviction decisions. */
-    struct ResidentTrace
-    {
-        std::string workload;
-        std::size_t bytes = 0;   ///< SoA array footprint estimate
-        std::uint64_t lastUse = 0; ///< monotonic use tick (LRU order)
-        bool inUse = false;      ///< pinned by an in-flight run
-    };
-
-    /** Every resident trace, unordered. */
-    std::vector<ResidentTrace> residentTraces();
-
-    /** Total estimated bytes of all resident traces. */
+    /** Estimated bytes of every trace this Runner holds. */
     std::size_t residentTraceBytes();
-
-    /**
-     * Evict the least-recently-used resident trace that no run
-     * currently pins (shared_ptr use count 1). Returns the bytes
-     * freed, 0 when nothing is evictable. The next request for the
-     * workload transparently reloads from the on-disk trace cache
-     * (or regenerates). Callers that hand out unpinned references
-     * (the serve daemon) must only evict while no request is in
-     * flight; pinned traces are skipped regardless.
-     */
-    std::size_t evictLruTrace();
 
     /** The base configuration (benches derive variants from it). */
     const SystemConfig &baseConfig() const { return base; }
@@ -229,12 +232,12 @@ class Runner
     std::map<std::string, trace::GeneratorPtr> generators;
     std::map<std::string, std::shared_ptr<const trace::Trace>> traces;
     std::map<std::string, RunStats> baselines;
-    std::map<std::string, core::ProfileSnapshot> profiles;
+    std::map<std::string, std::shared_future<core::ProfileSnapshot>>
+        profiles;
+    ProfileStore profileStore; ///< optional (empty hooks)
 
-    /** LRU bookkeeping for evictLruTrace: a monotonic tick stamped
-     *  per workload on every resident-trace use (under cacheMu). */
-    std::uint64_t useTick = 0;
-    std::map<std::string, std::uint64_t> lastUse;
+    /** One profiling simulation of @p workload (no caching). */
+    core::ProfileSnapshot simulateProfile(const std::string &workload);
 
     void ensureWorkload(const std::string &workload);
 };

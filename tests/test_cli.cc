@@ -73,24 +73,22 @@ TEST_F(CliTest, FlagOfAnotherSubcommandIsAUsageError)
     struct Case
     {
         const char *args;
-        const char *flag;
-        const char *command;
+        const char *flag;    ///< or the unknown command
+        const char *command; ///< or why it is refused
     };
     const Case cases[] = {
-        {"serve --socket s --threads 4", "--threads", "prophet serve"},
         {"run tiny.json --socket s", "--socket", "prophet run"},
-        {"serve --socket s --keep-going", "--keep-going",
-         "prophet serve"},
         {"trace-cache stats --records 5", "--records",
          "prophet trace-cache stats"},
         {"trace-cache warm mcf --metrics-out m.json", "--metrics-out",
          "prophet trace-cache warm"},
         {"trace-cache warm mcf --no-trace-cache", "--no-trace-cache",
          "prophet trace-cache warm"},
-        {"client ping --socket s --deadline 3", "--deadline",
-         "prophet client ping"},
-        {"client run tiny.json --socket s --threads=2", "--threads",
-         "prophet client run"},
+        // The resident daemon and its client are gone; the result
+        // store serves what they kept in memory.
+        {"serve --socket s", "\"serve\"", "unknown command"},
+        {"client run tiny.json --socket s", "\"client\"",
+         "unknown command"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.args);
@@ -100,6 +98,11 @@ TEST_F(CliTest, FlagOfAnotherSubcommandIsAUsageError)
         EXPECT_NE(o.output.find(c.command), std::string::npos)
             << o.output;
     }
+    Outcome help = prophet("--help", dir);
+    EXPECT_EQ(help.exitCode, 0) << help.output;
+    EXPECT_NE(help.output.find("\n  run "), std::string::npos);
+    EXPECT_EQ(help.output.find("\n  serve "), std::string::npos);
+    EXPECT_EQ(help.output.find("\n  client "), std::string::npos);
 }
 
 TEST_F(CliTest, MalformedFlagsAreUsageErrors)
@@ -109,7 +112,7 @@ TEST_F(CliTest, MalformedFlagsAreUsageErrors)
           "run tiny.json --threads=abc", "run tiny.json --threads -1",
           "run tiny.json --records 99999999999999999999",
           "run tiny.json --job-timeout nan", "run tiny.json --progress=1",
-          "trace-cache stats extra", "serve --socket s extra"}) {
+          "trace-cache stats extra", "trace-cache clear extra"}) {
         SCOPED_TRACE(args);
         Outcome o = prophet(args, dir);
         EXPECT_EQ(o.exitCode, 2) << o.output;

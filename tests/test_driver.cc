@@ -244,6 +244,43 @@ TEST_F(DriverTest, ResultsIndependentOfThreadCount)
     }
 }
 
+TEST_F(DriverTest, EachWorkloadIsProfiledOncePerRun)
+{
+    // Five Prophet variants share each workload's profile. However
+    // four workers interleave their jobs, each workload is profiled
+    // exactly once, and the results equal a serial run's.
+    auto spec = [] {
+        json::Value doc;
+        EXPECT_TRUE(json::parse(
+            "{\"name\": \"variants\","
+            " \"workloads\": [\"mcf\", \"omnetpp\"],"
+            " \"pipelines\": [{\"name\": \"prophet\"}],"
+            " \"sweep\": {\"param\": \"el_acc\","
+            "  \"values\": [0.05, 0.1, 0.15, 0.2, 0.25]},"
+            " \"metrics\": [\"ipc\"],"
+            " \"records\": " + std::to_string(kRecords) + ","
+            " \"trace_cache\": false}",
+            doc, nullptr));
+        return ExperimentSpec::fromJson(doc);
+    };
+    DriverOptions o1, o4;
+    o1.threads = 1;
+    o4.threads = 4;
+    auto r4 = ExperimentDriver(spec(), o4).run();
+    EXPECT_EQ(metrics::histogram("phase.profile_ns").count(), 2u);
+    auto r1 = ExperimentDriver(spec(), o1).run();
+    EXPECT_EQ(metrics::histogram("phase.profile_ns").count(), 2u);
+    ASSERT_EQ(r4.results.size(), 10u);
+    ASSERT_EQ(r1.results.size(), 10u);
+    for (std::size_t i = 0; i < r1.results.size(); ++i) {
+        const JobResult &a = r1.results[i], &b = r4.results[i];
+        SCOPED_TRACE(a.workload + "/" + a.pipeline);
+        ASSERT_TRUE(a.ok && b.ok);
+        expectStatsEq(a.stats, b.stats);
+        EXPECT_EQ(a.metrics, b.metrics);
+    }
+}
+
 TEST_F(DriverTest, TraceCacheDoesNotChangeResults)
 {
     std::string pa = dir + "/a.json", pb = dir + "/b.json";

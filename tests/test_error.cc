@@ -35,12 +35,6 @@ TEST(Error, CodeNamesAreStableAndLowerCase)
                  "fault-injected");
     EXPECT_STREQ(errorCodeName(ErrorCode::Internal), "internal");
     EXPECT_STREQ(errorCodeName(ErrorCode::JobTimeout), "job-timeout");
-    EXPECT_STREQ(errorCodeName(ErrorCode::ServerOverloaded),
-                 "server-overloaded");
-    EXPECT_STREQ(errorCodeName(ErrorCode::ProtocolError),
-                 "protocol-error");
-    EXPECT_STREQ(errorCodeName(ErrorCode::SocketBusy),
-                 "socket-busy");
 }
 
 TEST(Error, OnlyIoLockAndTimeoutClassesAreTransient)
@@ -51,9 +45,6 @@ TEST(Error, OnlyIoLockAndTimeoutClassesAreTransient)
     EXPECT_TRUE(isTransientError(ErrorCode::TraceIo));
     EXPECT_TRUE(isTransientError(ErrorCode::CacheLock));
     EXPECT_TRUE(isTransientError(ErrorCode::JobTimeout));
-    // Overload clears as the daemon drains its queue — the error
-    // frame even carries a retry_after_ms hint.
-    EXPECT_TRUE(isTransientError(ErrorCode::ServerOverloaded));
 
     EXPECT_FALSE(isTransientError(ErrorCode::Ok));
     EXPECT_FALSE(isTransientError(ErrorCode::SpecParse));
@@ -64,8 +55,6 @@ TEST(Error, OnlyIoLockAndTimeoutClassesAreTransient)
     EXPECT_FALSE(isTransientError(ErrorCode::Cancelled));
     EXPECT_FALSE(isTransientError(ErrorCode::FaultInjected));
     EXPECT_FALSE(isTransientError(ErrorCode::Internal));
-    EXPECT_FALSE(isTransientError(ErrorCode::ProtocolError));
-    EXPECT_FALSE(isTransientError(ErrorCode::SocketBusy));
 }
 
 TEST(Error, CarriesCodeContextAndTransience)

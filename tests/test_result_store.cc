@@ -3,17 +3,22 @@
  * The content-addressed result store, unit and end-to-end:
  *
  *  - an entry round-trips every RunStats field bit for bit, the
- *    per-PC miss map (in insertion order) included;
+ *    per-PC miss map (in insertion order) included, and a profile
+ *    entry round-trips its per-PC map in insertion order;
  *  - a second driver run over the same cache directory serves every
  *    job and baseline from the store — zero simulations — with
  *    results identical to the first run's;
  *  - every input of a result is part of its key (records, l1,
  *    dram_channels, warmup_records, sampling, pipeline parameters,
- *    the model fingerprint); a label is not;
+ *    the model fingerprint); a label is not; a profile's key leaves
+ *    out sampling and the pipeline too;
  *  - a result stored under one model fingerprint is never served
  *    under another;
- *  - corrupt, truncated and foreign-key entries miss, are counted,
- *    and are rewritten by the recomputed result;
+ *  - corrupt, truncated and foreign-key entries of either kind miss,
+ *    are counted, and are rewritten by the recomputed result;
+ *  - a new Prophet spec over a machine another run profiled — a
+ *    sweep or a learn spec — simulates no profile, and a cancelled
+ *    profile is never stored;
  *  - an armed job fault still fails a stored job, a failed store
  *    write only costs a recomputation, and an interrupted run
  *    resumes by being run again.
@@ -23,6 +28,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -36,6 +42,7 @@
 #include "driver/driver.hh"
 #include "driver/json.hh"
 #include "driver/result_store.hh"
+#include "sim/runner.hh"
 
 namespace fs = std::filesystem;
 
@@ -132,6 +139,39 @@ expectStatsEq(const sim::RunStats &a, const sim::RunStats &b)
     }
 }
 
+/** A profile with every field distinct and PCs in descending order. */
+core::ProfileSnapshot
+fabricatedProfile(unsigned seed)
+{
+    core::ProfileSnapshot p;
+    p.allocatedEntries = 4096 + seed;
+    for (unsigned i = 0; i < 6; ++i) {
+        core::PcProfile prof;
+        prof.accuracy = 0.1 * i + 0.01 * seed;
+        prof.issuedPrefetches = 100ull * seed + i;
+        prof.l2Misses = 7ull * seed + 3 * i;
+        p.perPc.emplace(0x5000'0200ull + seed * 16 - i * 8, prof);
+    }
+    return p;
+}
+
+void
+expectProfileEq(const core::ProfileSnapshot &a,
+                const core::ProfileSnapshot &b)
+{
+    EXPECT_EQ(a.allocatedEntries, b.allocatedEntries);
+    ASSERT_EQ(a.perPc.size(), b.perPc.size());
+    auto ia = a.perPc.begin();
+    auto ib = b.perPc.begin();
+    for (; ia != a.perPc.end(); ++ia, ++ib) {
+        EXPECT_EQ(ia->first, ib->first);
+        EXPECT_EQ(ia->second.accuracy, ib->second.accuracy);
+        EXPECT_EQ(ia->second.issuedPrefetches,
+                  ib->second.issuedPrefetches);
+        EXPECT_EQ(ia->second.l2Misses, ib->second.l2Misses);
+    }
+}
+
 std::string
 readFile(const std::string &path)
 {
@@ -162,6 +202,13 @@ std::uint64_t
 counterValue(const std::string &name)
 {
     return metrics::counter(name).value();
+}
+
+/** Profiling simulations since the last metrics reset. */
+std::uint64_t
+profileRuns()
+{
+    return metrics::histogram("phase.profile_ns").count();
 }
 
 /** Every entry file of a store directory. */
@@ -259,6 +306,16 @@ TEST_F(ResultStoreTest, EntryRoundTripsEveryFieldBitForBit)
     ASSERT_TRUE(got);
     expectStatsEq(*got, want);
     EXPECT_EQ(counterValue("store.hits"), 1u);
+
+    // A profile entry, likewise.
+    const json::Value pid = spec.profileIdentity(kRecords, "mcf");
+    EXPECT_FALSE(store.getProfile(pid));
+    const core::ProfileSnapshot profile = fabricatedProfile(3);
+    ASSERT_TRUE(store.put(pid, profile));
+    auto got_profile = again.getProfile(pid);
+    ASSERT_TRUE(got_profile);
+    expectProfileEq(*got_profile, profile);
+    EXPECT_EQ(counterValue("store.hits"), 2u);
     EXPECT_EQ(counterValue("store.corrupt"), 0u);
 }
 
@@ -271,8 +328,9 @@ TEST_F(ResultStoreTest, SecondRunServesEveryJobAndBaseline)
     EXPECT_EQ(first.cachedJobs, 0u);
     EXPECT_GT(counterValue("sim.runs"), 0u);
     EXPECT_EQ(counterValue("store.hits"), 0u);
-    EXPECT_EQ(counterValue("store.writes"), 6u); // 4 jobs + 2 baselines
-    EXPECT_EQ(entryFiles(cache).size(), 6u);
+    // 4 jobs, 2 baselines and the profiles of mcf and omnetpp.
+    EXPECT_EQ(counterValue("store.writes"), 8u);
+    EXPECT_EQ(entryFiles(cache).size(), 8u);
 
     auto second =
         ExperimentDriver(sweepSpec(csv2), cachedOptions()).run();
@@ -305,6 +363,8 @@ TEST_F(ResultStoreTest, EveryInputIsPartOfTheKeyButNotTheLabel)
 
     ResultStore store(cache, kModel);
     ASSERT_TRUE(store.put(mcfIdentity(base), fabricatedStats(1)));
+    ASSERT_TRUE(store.put(base.profileIdentity(kRecords, "mcf"),
+                          fabricatedProfile(1)));
 
     struct Case
     {
@@ -313,30 +373,37 @@ TEST_F(ResultStoreTest, EveryInputIsPartOfTheKeyButNotTheLabel)
         std::size_t records;
         std::uint64_t model;
         bool hit;
+        bool profileHit; ///< profiles never read sampling or params
     };
     const std::vector<Case> cases = {
-        {"unchanged", triage, kRecords, kModel, true},
+        {"unchanged", triage, kRecords, kModel, true, true},
         {"label only",
          "\"pipelines\": [{\"name\": \"triage\", \"degree\": 1,"
          " \"label\": \"renamed\"}]",
-         kRecords, kModel, true},
+         kRecords, kModel, true, true},
         {"threads and sinks",
          triage + ", \"threads\": 3, \"sinks\": []", kRecords, kModel,
-         true},
-        {"records", triage, kRecords + 1, kModel, false},
-        {"l1", triage + ", \"l1\": \"ipcp\"", kRecords, kModel, false},
+         true, true},
+        {"records", triage, kRecords + 1, kModel, false, false},
+        {"l1", triage + ", \"l1\": \"ipcp\"", kRecords, kModel, false,
+         false},
         {"dram_channels", triage + ", \"dram_channels\": 2", kRecords,
-         kModel, false},
+         kModel, false, false},
         {"warmup_records", triage + ", \"warmup_records\": 1000",
-         kRecords, kModel, false},
+         kRecords, kModel, false, false},
         {"sampling",
          triage + ", \"sampling\": {\"window_records\": 1000,"
                   " \"interval_records\": 5000}",
-         kRecords, kModel, false},
+         kRecords, kModel, false, true},
         {"pipeline parameter",
          "\"pipelines\": [{\"name\": \"triage\", \"degree\": 4}]",
-         kRecords, kModel, false},
-        {"model fingerprint", triage, kRecords, kModel + 1, false},
+         kRecords, kModel, false, true},
+        {"prophet parameters",
+         "\"pipelines\": [{\"name\": \"prophet\", \"el_acc\": 0.05,"
+         " \"label\": \"p\"}]",
+         kRecords, kModel, false, true},
+        {"model fingerprint", triage, kRecords, kModel + 1, false,
+         false},
     };
     for (const Case &c : cases) {
         SCOPED_TRACE(c.what);
@@ -345,9 +412,16 @@ TEST_F(ResultStoreTest, EveryInputIsPartOfTheKeyButNotTheLabel)
         EXPECT_EQ(static_cast<bool>(
                       reader.get(mcfIdentity(spec, c.records))),
                   c.hit);
+        EXPECT_EQ(static_cast<bool>(reader.getProfile(
+                      spec.profileIdentity(c.records, "mcf"))),
+                  c.profileHit);
     }
-    // A job and the workload's baseline never share a key either.
+    // A job, the workload's baseline and its profile never share a
+    // key either.
     EXPECT_FALSE(store.get(base.resultIdentity(kRecords, "mcf", nullptr)));
+    EXPECT_NE(store.keyText(base.profileIdentity(kRecords, "mcf")),
+              store.keyText(base.resultIdentity(kRecords, "mcf",
+                                                nullptr)));
     EXPECT_EQ(counterValue("store.corrupt"), 0u);
 }
 
@@ -387,42 +461,68 @@ TEST_F(ResultStoreTest, BadEntriesMissAndAreRewritten)
     auto spec = specFrom("{\"name\": \"k\", \"workloads\": [\"mcf\"],"
                          " \"pipelines\": [\"triangel\"],"
                          " \"metrics\": [\"ipc\"]}");
-    const json::Value id = mcfIdentity(spec);
-    const json::Value other = spec.resultIdentity(kRecords, "omnetpp",
-                                                  &spec.pipelines[0]);
     ResultStore store(cache, kModel);
-    ASSERT_TRUE(store.put(id, fabricatedStats(1)));
-    ASSERT_TRUE(store.put(other, fabricatedStats(2)));
-    const std::string file = store.path(store.keyText(id));
-    const std::string good = readFile(file);
-    const std::string foreign =
-        readFile(store.path(store.keyText(other)));
 
-    struct Case
+    // Each entry kind, with a second entry of that kind whose bytes
+    // stand in for a foreign key.
+    struct Kind
     {
         const char *what;
-        std::string bytes;
+        json::Value id, other;
+        std::function<bool(const json::Value &, unsigned)> put;
+        std::function<bool(const json::Value &, unsigned)> getEquals;
     };
-    std::string flipped = good;
-    flipped[good.size() / 2] ^= 0x40;
-    const std::vector<Case> cases = {
-        {"bit flip", flipped},
-        {"truncated payload", good.substr(0, good.size() - 11)},
-        {"truncated header", good.substr(0, 6)},
-        {"empty", ""},
-        {"foreign key", foreign},
+    const std::vector<Kind> kinds = {
+        {"result", mcfIdentity(spec),
+         spec.resultIdentity(kRecords, "omnetpp", &spec.pipelines[0]),
+         [&](const json::Value &id, unsigned seed) {
+             return store.put(id, fabricatedStats(seed));
+         },
+         [&](const json::Value &id, unsigned seed) {
+             auto got = store.get(id);
+             if (got)
+                 expectStatsEq(*got, fabricatedStats(seed));
+             return static_cast<bool>(got);
+         }},
+        {"profile", spec.profileIdentity(kRecords, "mcf"),
+         spec.profileIdentity(kRecords, "omnetpp"),
+         [&](const json::Value &id, unsigned seed) {
+             return store.put(id, fabricatedProfile(seed));
+         },
+         [&](const json::Value &id, unsigned seed) {
+             auto got = store.getProfile(id);
+             if (got)
+                 expectProfileEq(*got, fabricatedProfile(seed));
+             return static_cast<bool>(got);
+         }},
     };
     std::uint64_t corrupt = 0;
-    for (const Case &c : cases) {
-        SCOPED_TRACE(c.what);
-        writeFile(file, c.bytes);
-        EXPECT_FALSE(store.get(id));
-        EXPECT_EQ(counterValue("store.corrupt"), ++corrupt);
-        // What the driver does on a miss: recompute and store.
-        ASSERT_TRUE(store.put(id, fabricatedStats(1)));
-        auto got = store.get(id);
-        ASSERT_TRUE(got);
-        expectStatsEq(*got, fabricatedStats(1));
+    for (const Kind &k : kinds) {
+        ASSERT_TRUE(k.put(k.id, 1));
+        ASSERT_TRUE(k.put(k.other, 2));
+        const std::string file = store.path(store.keyText(k.id));
+        const std::string good = readFile(file);
+        const std::string foreign =
+            readFile(store.path(store.keyText(k.other)));
+
+        std::string flipped = good;
+        flipped[good.size() / 2] ^= 0x40;
+        const std::vector<std::pair<const char *, std::string>> cases = {
+            {"bit flip", flipped},
+            {"truncated payload", good.substr(0, good.size() - 11)},
+            {"truncated header", good.substr(0, 6)},
+            {"empty", ""},
+            {"foreign key", foreign},
+        };
+        for (const auto &[what, bytes] : cases) {
+            SCOPED_TRACE(std::string(k.what) + ": " + what);
+            writeFile(file, bytes);
+            EXPECT_FALSE(k.getEquals(k.id, 1));
+            EXPECT_EQ(counterValue("store.corrupt"), ++corrupt);
+            // What the driver does on a miss: recompute and store.
+            ASSERT_TRUE(k.put(k.id, 1));
+            EXPECT_TRUE(k.getEquals(k.id, 1));
+        }
     }
 }
 
@@ -433,7 +533,7 @@ TEST_F(ResultStoreTest, DriverRecomputesAndRewritesCorruptEntries)
     ASSERT_TRUE(
         ExperimentDriver(sweepSpec(csv1), cachedOptions()).run().ok());
     auto files = entryFiles(cache);
-    ASSERT_EQ(files.size(), 6u);
+    ASSERT_EQ(files.size(), 8u);
     for (const auto &f : files) {
         std::string bytes = readFile(f);
         bytes[bytes.size() / 2] ^= 0x01;
@@ -443,9 +543,10 @@ TEST_F(ResultStoreTest, DriverRecomputesAndRewritesCorruptEntries)
     auto second =
         ExperimentDriver(sweepSpec(csv2), cachedOptions()).run();
     ASSERT_TRUE(second.ok());
-    EXPECT_EQ(counterValue("store.corrupt"), 6u);
+    EXPECT_EQ(counterValue("store.corrupt"), 8u);
     EXPECT_EQ(counterValue("store.hits"), 0u);
-    EXPECT_EQ(counterValue("store.writes"), 6u);
+    EXPECT_EQ(counterValue("store.writes"), 8u);
+    EXPECT_EQ(profileRuns(), 2u);
     EXPECT_EQ(second.cachedJobs, 0u);
     EXPECT_EQ(readFile(csv1), readFile(csv2));
 
@@ -497,7 +598,7 @@ TEST_F(ResultStoreTest, FailedStoreWriteOnlyCostsARecomputation)
                       .run();
     EXPECT_TRUE(second.ok());
     EXPECT_EQ(second.cachedJobs, 0u);
-    EXPECT_EQ(counterValue("store.writes"), 6u);
+    EXPECT_EQ(counterValue("store.writes"), 8u);
     EXPECT_EQ(readFile(dir + "/a.csv"), readFile(dir + "/b.csv"));
 }
 
@@ -542,6 +643,125 @@ TEST_F(ResultStoreTest, RerunningAnInterruptedRunContinuesIt)
     EXPECT_EQ(readFile(dir + "/ref.csv"), readFile(dir + "/out.csv"));
 }
 
+TEST_F(ResultStoreTest, NewProphetSpecReusesStoredProfiles)
+{
+    // fig10's shape first: Prophet among other pipelines.
+    ASSERT_TRUE(ExperimentDriver(sweepSpec(dir + "/fig10.csv"),
+                                 cachedOptions())
+                    .run()
+                    .ok());
+    EXPECT_EQ(profileRuns(), 2u);
+
+    // fig16a's shape: a Prophet parameter sweep over the same
+    // machine, so every job misses but no profile does.
+    auto sweep = [&](bool cached) {
+        auto spec = specFrom(
+            "{\"name\": \"el_acc\","
+            " \"workloads\": [\"mcf\", \"omnetpp\"],"
+            " \"pipelines\": [{\"name\": \"prophet\"}],"
+            " \"sweep\": {\"param\": \"el_acc\","
+            "             \"values\": [0.05, 0.25]},"
+            " \"metrics\": [\"speedup\"],"
+            " \"records\": " + std::to_string(kRecords) + ","
+            " \"sinks\": [{\"type\": \"csv\", \"path\": \"" + dir
+            + (cached ? "/cached.csv" : "/uncached.csv") + "\"}]}");
+        spec.traceCache = cached;
+        return ExperimentDriver(std::move(spec), cachedOptions()).run();
+    };
+    auto cached = sweep(true);
+    ASSERT_TRUE(cached.ok());
+    EXPECT_EQ(cached.cachedJobs, 0u);
+    EXPECT_EQ(profileRuns(), 0u);
+    EXPECT_EQ(counterValue("store.hits"), 4u); // 2 baselines, 2 profiles
+    auto uncached = sweep(false);
+    ASSERT_TRUE(uncached.ok());
+    EXPECT_EQ(profileRuns(), 2u);
+    EXPECT_EQ(readFile(dir + "/cached.csv"),
+              readFile(dir + "/uncached.csv"));
+}
+
+TEST_F(ResultStoreTest, LearnSpecReusesItsInputsStoredProfiles)
+{
+    auto spec = [&](const std::string &body) {
+        return specFrom("{\"name\": \"gcc\", \"metrics\": [\"ipc\"],"
+                        " \"records\": " + std::to_string(kRecords)
+                        + ", \"sinks\": [], " + body + "}");
+    };
+    ASSERT_TRUE(ExperimentDriver(spec("\"workloads\": [\"gcc_166\","
+                                      " \"gcc_expr\"],"
+                                      " \"pipelines\": [\"prophet\"]"),
+                                 cachedOptions())
+                    .run()
+                    .ok());
+    EXPECT_EQ(profileRuns(), 2u);
+
+    // fig13's shape: learn from those inputs, evaluate on another.
+    const std::string learn =
+        "\"workloads\": [\"gcc_typeck\"],"
+        " \"pipelines\": [{\"name\": \"prophet\","
+        " \"learn\": [\"gcc_166\", \"gcc_expr\"]}]";
+    auto served = ExperimentDriver(spec(learn), cachedOptions()).run();
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(served.cachedJobs, 0u);
+    EXPECT_EQ(profileRuns(), 0u);
+    EXPECT_EQ(counterValue("store.hits"), 2u);
+
+    auto fresh_spec = spec(learn);
+    fresh_spec.traceCache = false;
+    auto fresh = ExperimentDriver(std::move(fresh_spec)).run();
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(profileRuns(), 2u);
+    expectStatsEq(served.results[0].stats, fresh.results[0].stats);
+}
+
+TEST_F(ResultStoreTest, CancelledProfileIsNeverStored)
+{
+    auto spec = specFrom("{\"name\": \"k\", \"workloads\": [\"mcf\"],"
+                         " \"pipelines\": [\"prophet\"],"
+                         " \"metrics\": [\"ipc\"]}");
+    ResultStore store(cache, kModel);
+    // The hooks the driver attaches.
+    auto attach = [&](sim::Runner &runner) {
+        sim::Runner::ProfileStore hooks;
+        hooks.load = [&](const std::string &w) {
+            return store.getProfile(spec.profileIdentity(kRecords, w));
+        };
+        hooks.save = [&](const std::string &w,
+                         const core::ProfileSnapshot &p) {
+            store.put(spec.profileIdentity(kRecords, w), p);
+        };
+        runner.setProfileStore(std::move(hooks));
+    };
+
+    CancellationToken cancelled;
+    cancelled.cancel();
+    sim::Runner runner(spec.baseConfig(), kRecords);
+    attach(runner);
+    runner.setCancellation(&cancelled);
+    try {
+        runner.profileWorkload("mcf");
+        FAIL() << "a cancelled profile returned";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Cancelled);
+    }
+    EXPECT_TRUE(entryFiles(cache).empty());
+    EXPECT_EQ(counterValue("store.writes"), 0u);
+
+    // Nor is it remembered: the same runner profiles it once
+    // uncancelled, and stores that one.
+    runner.setCancellation(nullptr);
+    const core::ProfileSnapshot want = runner.profileWorkload("mcf");
+    EXPECT_EQ(counterValue("store.writes"), 1u);
+    EXPECT_EQ(profileRuns(), 1u);
+
+    // A later runner is served it.
+    sim::Runner later(spec.baseConfig(), kRecords);
+    attach(later);
+    expectProfileEq(later.profileWorkload("mcf"), want);
+    EXPECT_EQ(profileRuns(), 1u);
+    EXPECT_EQ(counterValue("store.hits"), 1u);
+}
+
 TEST_F(ResultStoreTest, NoTraceCacheMeansNoStore)
 {
     auto spec = sweepSpec(dir + "/a.csv");
@@ -569,12 +789,14 @@ TEST_F(ResultStoreTest, UsageAndClearCoverEveryEntry)
     ASSERT_TRUE(store.put(mcfIdentity(spec), fabricatedStats(1)));
     ASSERT_TRUE(store.put(spec.resultIdentity(kRecords, "mcf", nullptr),
                           fabricatedStats(2)));
+    ASSERT_TRUE(store.put(spec.profileIdentity(kRecords, "mcf"),
+                          fabricatedProfile(3)));
     auto u = ResultStore::usage(cache);
-    EXPECT_EQ(u.entries, 2u);
+    EXPECT_EQ(u.entries, 3u);
     EXPECT_GT(u.bytes, 0u);
     // A crashed writer's temp file is swept but not counted.
     writeFile(cache + "/results/dead.prs.tmp1.0", "x");
-    EXPECT_EQ(ResultStore::clear(cache), 2u);
+    EXPECT_EQ(ResultStore::clear(cache), 3u);
     EXPECT_EQ(ResultStore::usage(cache).entries, 0u);
     EXPECT_FALSE(fs::exists(cache + "/results"));
 }

@@ -34,14 +34,12 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -49,8 +47,6 @@
 #include "common/exit_codes.hh"
 #include "driver/driver.hh"
 #include "driver/result_store.hh"
-#include "serve/client.hh"
-#include "serve/server.hh"
 #include "sim/pipelines.hh"
 #include "sim/sweep.hh"
 #include "trace/trace_cache.hh"
@@ -110,15 +106,6 @@ usage()
         "  trace-cache clear [--trace-cache-dir DIR]\n"
         "      (traces and stored results)\n"
         "  trace-cache stats [--trace-cache-dir DIR]\n"
-        "  serve --socket PATH [--serve-workers N]\n"
-        "      [--max-queue N] [--max-frame-bytes N]\n"
-        "      [--io-timeout-ms N] [--request-deadline SEC]\n"
-        "      [--max-rss-mb N] [--drain-grace SEC]\n"
-        "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
-        "  client run <spec.json> --socket PATH [--deadline SEC]\n"
-        "      [--timeout-ms N]\n"
-        "  client health --socket PATH [--timeout-ms N]\n"
-        "  client ping --socket PATH [--timeout-ms N]\n"
         "\n"
         "observability (run; all off by default — outputs are\n"
         "byte-identical to a run without these flags):\n"
@@ -138,12 +125,14 @@ usage()
         "                 (the default unless the spec sets\n"
         "                 \"keep_going\": true)\n"
         "\n"
-        "result store (run, serve): every simulated job and baseline\n"
-        "  is stored under <trace-cache-dir>/results, keyed by its\n"
-        "  inputs and a hash of this executable, and served to any\n"
-        "  later run that needs it (output is byte-identical). It is\n"
-        "  on exactly when the trace cache is; rerunning an\n"
-        "  interrupted run continues where it stopped.\n"
+        "result store (run): every simulated job, baseline and\n"
+        "  Prophet profile is stored under <trace-cache-dir>/results,\n"
+        "  keyed by its inputs and a hash of this executable, and\n"
+        "  served to any later run that needs it (output is\n"
+        "  byte-identical). It is on exactly when the trace cache\n"
+        "  is; rerunning an interrupted run continues where it\n"
+        "  stopped, and a new Prophet spec over the same machine\n"
+        "  skips profiling.\n"
         "\n"
         "long-running sweeps (run):\n"
         "  --job-timeout SEC\n"
@@ -154,16 +143,9 @@ usage()
         "  SIGINT/SIGTERM drain in-flight jobs, flush partial\n"
         "                 sinks, and exit 6; a second signal\n"
         "                 force-kills\n"
-        "\n"
-        "serving (serve / client; protocol in README \"Serving\"):\n"
-        "  serve keeps traces and baselines resident, so a repeated\n"
-        "  spec skips every trace load; client run is a drop-in for\n"
-        "  run against a warm daemon (same sinks, same exit codes).\n"
-        "  SIGINT/SIGTERM drain the daemon: stop accepting, finish\n"
-        "  or cancel in-flight requests, flush, exit 6.\n"
         "\n");
-    // One shared block (common/exit_codes.hh): run, serve, and
-    // client compute their exits from the same enum this prints.
+    // One shared block (common/exit_codes.hh): every command computes
+    // its exit from the same enum this prints.
     std::fputs(exitCodesHelp(), stderr);
     return 2;
 }
@@ -173,11 +155,6 @@ struct Flags
 {
     driver::DriverOptions opts;
     std::vector<std::string> positional;
-
-    std::string socketPath;          ///< --socket (serve, client)
-    serve::ServeOptions serveOpts;   ///< daemon knobs (serve)
-    double clientDeadlineS = 0.0;    ///< --deadline (client run)
-    int clientTimeoutMs = -1;        ///< --timeout-ms (client)
 };
 
 /**
@@ -188,13 +165,9 @@ struct Flags
 enum : unsigned
 {
     kRun = 1u << 0,
-    kServe = 1u << 1,
-    kClientRun = 1u << 2,
-    kClientProbe = 1u << 3, ///< client health / client ping
-    kWarm = 1u << 4,
-    kCacheAdmin = 1u << 5, ///< trace-cache clear / stats
+    kWarm = 1u << 1,
+    kCacheAdmin = 1u << 2, ///< trace-cache clear / stats
 };
-constexpr unsigned kClient = kClientRun | kClientProbe;
 
 /** A parsed flag value, handed to FlagDef::apply. */
 struct FlagValue
@@ -218,7 +191,6 @@ struct FlagDef
 // with the kNoThreads/kNoRecords "unset" sentinels.
 constexpr unsigned long long kMaxThreads = 65536;
 constexpr unsigned long long kMaxRecords = 1ull << 53;
-constexpr unsigned long long kMaxMs = 86400000;
 
 using A = FlagDef::Arg;
 const FlagDef kFlags[] = {
@@ -230,11 +202,11 @@ const FlagDef kFlags[] = {
      [](Flags &f, const FlagValue &v) {
          f.opts.records = static_cast<std::size_t>(v.count);
      }},
-    {"--trace-cache-dir", kRun | kServe | kWarm | kCacheAdmin, A::Text,
-     0, [](Flags &f, const FlagValue &v) {
+    {"--trace-cache-dir", kRun | kWarm | kCacheAdmin, A::Text, 0,
+     [](Flags &f, const FlagValue &v) {
          f.opts.traceCacheDir = v.text;
      }},
-    {"--no-trace-cache", kRun | kServe, A::None, 0,
+    {"--no-trace-cache", kRun, A::None, 0,
      [](Flags &f, const FlagValue &) { f.opts.traceCache = 0; }},
     {"--keep-going", kRun, A::None, 0,
      [](Flags &f, const FlagValue &) { f.opts.keepGoing = 1; }},
@@ -250,42 +222,6 @@ const FlagDef kFlags[] = {
      [](Flags &f, const FlagValue &v) {
          f.opts.jobTimeoutS = v.seconds;
      }},
-    {"--socket", kServe | kClient, A::Text, 0,
-     [](Flags &f, const FlagValue &v) { f.socketPath = v.text; }},
-    {"--serve-workers", kServe, A::Count, 1024,
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.workers = static_cast<unsigned>(v.count);
-     }},
-    {"--max-queue", kServe, A::Count, 1 << 20,
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.maxQueue = static_cast<std::size_t>(v.count);
-     }},
-    {"--max-frame-bytes", kServe, A::Count, ~std::uint32_t{0},
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.maxFrameBytes = static_cast<std::uint32_t>(v.count);
-     }},
-    {"--io-timeout-ms", kServe, A::Count, kMaxMs,
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.ioTimeoutMs = static_cast<int>(v.count);
-     }},
-    {"--max-rss-mb", kServe, A::Count, 1 << 24,
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.maxRssMb = static_cast<std::size_t>(v.count);
-     }},
-    {"--request-deadline", kServe, A::Seconds, 0,
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.requestDeadlineS = v.seconds;
-     }},
-    {"--drain-grace", kServe, A::Seconds, 0,
-     [](Flags &f, const FlagValue &v) {
-         f.serveOpts.drainGraceS = v.seconds;
-     }},
-    {"--timeout-ms", kClient, A::Count, kMaxMs,
-     [](Flags &f, const FlagValue &v) {
-         f.clientTimeoutMs = static_cast<int>(v.count);
-     }},
-    {"--deadline", kClientRun, A::Seconds, 0,
-     [](Flags &f, const FlagValue &v) { f.clientDeadlineS = v.seconds; }},
 };
 
 /**
@@ -311,7 +247,8 @@ parseFlags(int argc, char **argv, int from, unsigned cmd,
             if (name == d.name)
                 def = &d;
         if (!def) {
-            std::fprintf(stderr, "prophet: unknown flag %s\n", arg);
+            std::fprintf(stderr, "prophet %s: unknown flag %s\n",
+                         cmd_name, arg);
             return false;
         }
         if (!(def->cmds & cmd)) {
@@ -382,9 +319,6 @@ cmdRun(const Flags &flags)
                                      std::move(opts));
         bool keep_going = drv.keepGoingEnabled();
         auto report = drv.run();
-        // The report-to-exit mapping is shared with the serve
-        // daemon's response frames (driver::exitCodeForReport), so
-        // the two entry points cannot disagree on a verdict.
         int rc = driver::exitCodeForReport(report, keep_going);
         if (report.failedJobs > 0)
             std::fprintf(
@@ -421,76 +355,6 @@ cmdRun(const Flags &flags)
         std::fprintf(stderr, "prophet run: %s\n", e.what());
         return static_cast<int>(ExitCode::RuntimeFailure);
     }
-}
-
-/**
- * `prophet serve`: run the resident daemon until SIGINT/SIGTERM,
- * then drain gracefully and exit 6 — the same interrupt code a
- * drained `prophet run` uses.
- */
-int
-cmdServe(Flags &flags)
-{
-    if (flags.socketPath.empty()) {
-        std::fprintf(stderr, "prophet serve: --socket is required\n");
-        return static_cast<int>(ExitCode::Usage);
-    }
-    serve::ServeOptions sopts = flags.serveOpts;
-    sopts.socketPath = flags.socketPath;
-    sopts.traceCache = flags.opts.traceCache;
-    sopts.traceCacheDir = flags.opts.traceCacheDir;
-    sopts.maxAttempts = flags.opts.maxAttempts;
-    sopts.retryBackoffMs = flags.opts.retryBackoffMs;
-
-    try {
-        serve::ServeDaemon daemon(std::move(sopts));
-        daemon.start();
-        installShutdownHandlers();
-        while (gSignal == 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-        std::fprintf(stderr,
-                     "prophet serve: signal %d; draining\n",
-                     static_cast<int>(gSignal));
-        daemon.drainAndStop();
-        return static_cast<int>(ExitCode::Interrupted);
-    } catch (const Error &e) {
-        std::fprintf(stderr, "prophet serve: %s\n", e.what());
-        return static_cast<int>(exitCodeForError(e.code()));
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "prophet serve: %s\n", e.what());
-        return static_cast<int>(ExitCode::RuntimeFailure);
-    }
-}
-
-/** `prophet client run|health|ping` against a serve daemon. */
-int
-cmdClient(const std::string &sub, const Flags &flags)
-{
-    if (flags.socketPath.empty()) {
-        std::fprintf(stderr,
-                     "prophet client: --socket is required\n");
-        return static_cast<int>(ExitCode::Usage);
-    }
-    if (sub == "run") {
-        if (flags.positional.size() != 1) {
-            std::fprintf(stderr,
-                         "prophet client run: expected one spec "
-                         "file\n");
-            return static_cast<int>(ExitCode::Usage);
-        }
-        return serve::clientRun(flags.socketPath,
-                                flags.positional[0],
-                                flags.clientDeadlineS,
-                                flags.clientTimeoutMs);
-    }
-    if (sub == "health" || sub == "ping")
-        return serve::clientSimpleRequest(flags.socketPath, sub,
-                                          flags.clientTimeoutMs);
-    std::fprintf(stderr,
-                 "prophet client: unknown subcommand \"%s\"\n",
-                 sub.c_str());
-    return static_cast<int>(ExitCode::Usage);
 }
 
 int
@@ -704,7 +568,7 @@ main(int argc, char **argv)
     }
 
     // Every other command parses flags scoped to it (kFlags).
-    const bool two_word = cmd == "client" || cmd == "trace-cache";
+    const bool two_word = cmd == "trace-cache";
     if (two_word && argc < 3)
         return usage();
     const std::string sub = two_word ? argv[2] : "";
@@ -712,10 +576,6 @@ main(int argc, char **argv)
     unsigned bit = 0;
     if (cmd == "run")
         bit = kRun;
-    else if (cmd == "serve")
-        bit = kServe;
-    else if (cmd == "client")
-        bit = sub == "run" ? kClientRun : kClientProbe;
     else if (name == "trace-cache warm")
         bit = kWarm;
     else if (name == "trace-cache clear" || name == "trace-cache stats")
@@ -732,7 +592,7 @@ main(int argc, char **argv)
                     flags))
         return static_cast<int>(ExitCode::Usage);
     if (!flags.positional.empty()
-        && (bit & (kServe | kClientProbe | kCacheAdmin))) {
+        && bit == kCacheAdmin) {
         std::fprintf(stderr,
                      "prophet %s: unexpected argument \"%s\"\n",
                      name.c_str(), flags.positional[0].c_str());
@@ -741,14 +601,10 @@ main(int argc, char **argv)
     switch (bit) {
       case kRun:
         return cmdRun(flags);
-      case kServe:
-        return cmdServe(flags);
       case kWarm:
         return cmdTraceCacheWarm(flags);
-      case kCacheAdmin:
+      default:
         return sub == "clear" ? cmdTraceCacheClear(flags)
                               : cmdTraceCacheStats(flags);
-      default:
-        return cmdClient(sub, flags);
     }
 }
