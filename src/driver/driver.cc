@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <numeric>
 #include <thread>
 
 #include "common/cancellation.hh"
@@ -449,6 +450,30 @@ needsBaseline(const ExperimentSpec &spec)
     return false;
 }
 
+/**
+ * Phase-2 start order: the job indices (workload-major spec order)
+ * by descending declared System runs, ties in spec order. A
+ * multi-run job queued last would run alone while the other workers
+ * idle; started first, it overlaps the single-run jobs.
+ */
+std::vector<std::size_t>
+longestFirstOrder(const ExperimentSpec &spec)
+{
+    const std::size_t per = spec.pipelines.size();
+    std::vector<unsigned> runs;
+    for (const auto &p : spec.pipelines) {
+        const sim::PipelineDef *def = sim::findPipeline(p.name);
+        runs.push_back(def ? def->systemRuns : 1);
+    }
+    std::vector<std::size_t> order(spec.workloads.size() * per);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return runs[a % per] > runs[b % per];
+                     });
+    return order;
+}
+
 } // anonymous namespace
 
 double
@@ -643,10 +668,12 @@ ExperimentDriver::run()
     }
 
     // Phase 2: every (workload x pipeline) as an independent,
-    // fault-isolated job, workload-major. Slots are pre-sized: jobs
-    // write disjoint indices and the merge order is the spec order
-    // by construction. One failing job cannot take down its
-    // siblings; its slot records why it failed instead.
+    // fault-isolated job. Jobs start longest first (longestFirstOrder)
+    // but results stay workload-major: slots are pre-sized, jobs
+    // write disjoint spec-order indices, and the failures map back
+    // to them, so the merge order is the spec order by construction.
+    // One failing job cannot take down its siblings; its slot
+    // records why it failed instead.
     ExperimentReport report;
     report.results.resize(spec.workloads.size() * per);
     std::atomic<std::size_t> jobs_done{0};
@@ -654,9 +681,11 @@ ExperimentDriver::run()
     if (opts.progress)
         monitor = std::make_unique<ProgressMonitor>(
             spec.name, report.results.size(), jobs_done);
-    auto failures = engine.tryForEach(
-        report.results.size(),
-        [&](std::size_t i) {
+    const std::vector<std::size_t> order = longestFirstOrder(spec);
+    auto started = engine.tryForEach(
+        order.size(),
+        [&](std::size_t k) {
+            const std::size_t i = order[k];
             JobResult &slot = report.results[i];
             const sim::PipelineInstance &inst =
                 spec.pipelines[i % per];
@@ -693,6 +722,9 @@ ExperimentDriver::run()
         policy, &token);
     if (monitor)
         monitor->stop();
+    std::vector<sim::SweepEngine::JobFailure> failures(started.size());
+    for (std::size_t k = 0; k < order.size(); ++k)
+        failures[order[k]] = std::move(started[k]);
 
     // Whether the external token fired decides how skipped slots
     // read: "interrupted, rerun to continue" vs fail-fast's

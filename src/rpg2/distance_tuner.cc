@@ -43,4 +43,15 @@ tuneDistance(const std::function<double(std::int64_t)> &evaluate,
     return result;
 }
 
+unsigned
+maxEvaluations(const TunerConfig &cfg)
+{
+    unsigned evaluations = 2;
+    // Each step keeps the wider half, ceil(width / 2).
+    for (std::int64_t width = cfg.maxDistance - cfg.minDistance;
+         width > 1; width -= width / 2)
+        ++evaluations;
+    return evaluations;
+}
+
 } // namespace prophet::rpg2

@@ -47,6 +47,13 @@ TuneResult tuneDistance(
     const std::function<double(std::int64_t)> &evaluate,
     const TunerConfig &cfg = {});
 
+/**
+ * The most evaluations tuneDistance() makes over @p cfg's range: the
+ * two endpoints plus one midpoint per halving, when every halving
+ * keeps the wider side (8 for [1, 64]).
+ */
+unsigned maxEvaluations(const TunerConfig &cfg);
+
 } // namespace prophet::rpg2
 
 #endif // PROPHET_RPG2_DISTANCE_TUNER_HH

@@ -1,8 +1,6 @@
 #include "rpg2/kernel_id.hh"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 namespace prophet::rpg2
 {
@@ -25,12 +23,15 @@ identifyKernels(const trace::Trace &t,
 
     // Per-PC stride statistics over the trace, plus the dependent
     // consumer that follows each PC (the indirect load a[b[i]] whose
-    // misses the kernel's prefetches would cover).
+    // misses the kernel's prefetches would cover). Both maps are
+    // flat: an irregular PC sees a new delta on nearly every access,
+    // and a heap node per delta dominated this pass.
     struct PcStat
     {
+        Addr first = kInvalidAddr; ///< probes the resolver below
         Addr last = kInvalidAddr;
         std::uint64_t accesses = 0;
-        std::map<std::int64_t, std::uint64_t> deltas;
+        FlatMap<std::int64_t, std::uint64_t> deltas;
         PC consumer = kInvalidPC;
     };
     // The scan reads the trace's SoA arrays directly: this pass only
@@ -41,11 +42,12 @@ identifyKernels(const trace::Trace &t,
     const Addr *addrs = t.addrData();
     const std::uint32_t *metas = t.metaData();
 
-    std::unordered_map<PC, PcStat> stats;
+    FlatMap<PC, PcStat> stats;
     for (std::size_t i = 0; i < n; ++i) {
         const PC pc = pcs[i];
         PcStat &s = stats[pc];
-        ++s.accesses;
+        if (s.accesses++ == 0)
+            s.first = addrs[i];
         if (s.last != kInvalidAddr) {
             auto d = static_cast<std::int64_t>(addrs[i])
                 - static_cast<std::int64_t>(s.last);
@@ -60,8 +62,7 @@ identifyKernels(const trace::Trace &t,
             for (std::size_t j = i + 1; j < n && j <= i + 4; ++j) {
                 if (pcs[j] == pc)
                     break;
-                if (trace::Trace::dependsOf(metas[j])
-                    && pcs[j] != pc) {
+                if (trace::Trace::dependsOf(metas[j])) {
                     s.consumer = pcs[j];
                     break;
                 }
@@ -86,11 +87,14 @@ identifyKernels(const trace::Trace &t,
         }
         double share = static_cast<double>(misses)
             / static_cast<double>(total_misses);
+
+        // The dominant stride; among equally frequent deltas the
+        // smallest wins, independent of the map's insertion order.
         std::int64_t best_delta = 0;
         std::uint64_t best_count = 0, delta_total = 0;
         for (const auto &[d, c] : s.deltas) {
             delta_total += c;
-            if (c > best_count) {
+            if (c > best_count || (c == best_count && d < best_delta)) {
                 best_count = c;
                 best_delta = d;
             }
@@ -101,19 +105,9 @@ identifyKernels(const trace::Trace &t,
         if (coverage < cfg.minStrideCoverage)
             continue;
 
-        // The runtime must be able to compute the indirect target.
-        auto probe = resolver->resolve(pc, addrs[0], 0);
-        bool resolvable = false;
-        // Probe with an address actually from this PC.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (pcs[i] == pc) {
-                resolvable =
-                    resolver->resolve(pc, addrs[i], 1).has_value();
-                break;
-            }
-        }
-        (void)probe;
-        if (!resolvable)
+        // The runtime must be able to compute the indirect target;
+        // probe with the PC's own first address.
+        if (!resolver->resolve(pc, s.first, 1).has_value())
             continue;
 
         if (share < cfg.minMissShare)
@@ -124,7 +118,9 @@ identifyKernels(const trace::Trace &t,
 
     std::sort(kernels.begin(), kernels.end(),
               [](const Kernel &a, const Kernel &b) {
-                  return a.missShare > b.missShare;
+                  if (a.missShare != b.missShare)
+                      return a.missShare > b.missShare;
+                  return a.pc < b.pc;
               });
     return kernels;
 }

@@ -57,8 +57,9 @@ struct KernelIdConfig
  * @param t The profiled trace.
  * @param pc_misses Per-PC L2 miss counts from a profiling run.
  * @param resolver The workload's indirect resolver (nullptr when the
- *        workload exposes none — then no kernel qualifies, as for
- *        mcf/omnetpp/soplex in the paper).
+ *        workload exposes none — then no kernel qualifies; only the
+ *        graph workloads expose one, so no SPEC workload qualifies).
+ * @return The kernels by descending missShare, ties by ascending pc.
  */
 std::vector<Kernel> identifyKernels(
     const trace::Trace &t,

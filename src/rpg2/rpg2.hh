@@ -51,7 +51,7 @@ class Rpg2Plan
     /** Change every armed kernel's distance (tuning step). */
     void setDistance(std::int64_t distance);
 
-    /** True when no kernels qualified (mcf/omnetpp/soplex case). */
+    /** True when no kernels qualified (every SPEC workload). */
     bool empty() const { return kernels.empty(); }
 
     std::size_t size() const { return kernels.size(); }

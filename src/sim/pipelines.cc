@@ -365,6 +365,8 @@ buildRegistry()
         d.name = "rpg2";
         d.displayName = "RPG2";
         d.needsBaseline = true; // kernel identification profiles it
+        // The distance search, at its bound (no kernels: none).
+        d.systemRuns = rpg2::maxEvaluations(Runner::kRpg2Tuning);
         d.run = [](Runner &r, const PipelineInstance &,
                    const std::string &w) {
             return r.runRpg2(w).stats;

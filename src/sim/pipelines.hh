@@ -133,6 +133,12 @@ struct PipelineDef
     std::string displayName; ///< figure column title
     /** Normalizes to / consults the per-workload baseline run. */
     bool needsBaseline = false;
+    /**
+     * Full-trace System runs one job of this pipeline performs, not
+     * counting the per-workload baseline and profile the runner
+     * shares. The driver starts the jobs with the most runs first.
+     */
+    unsigned systemRuns = 1;
     std::vector<ParamInfo> params;
     /** Extra semantic checks beyond key/type (may be null). */
     std::function<void(const PipelineInstance &)> validate;

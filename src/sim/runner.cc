@@ -344,7 +344,7 @@ Runner::runRpg2(const std::string &workload)
         runs.emplace(d, std::move(s));
         return ipc;
     };
-    auto tuned = rpg2::tuneDistance(evaluate, {1, 64});
+    auto tuned = rpg2::tuneDistance(evaluate, kRpg2Tuning);
     out.tunedDistance = tuned.bestDistance;
     out.stats = runs.at(tuned.bestDistance);
     return out;

@@ -20,6 +20,7 @@
 
 #include "core/analyzer.hh"
 #include "core/learner.hh"
+#include "rpg2/distance_tuner.hh"
 #include "rpg2/kernel_id.hh"
 #include "sim/pipelines.hh"
 #include "sim/system.hh"
@@ -191,11 +192,14 @@ class Runner
         const core::OptimizedBinary &binary,
         const core::ProphetConfig &pcfg = core::ProphetConfig{});
 
+    /** The prefetch-distance range runRpg2() searches. */
+    static constexpr rpg2::TunerConfig kRpg2Tuning{1, 64};
+
     /**
      * The full RPG2 pipeline: identify kernels from a baseline
-     * profile, binary-search the distance, report the best run.
-     * Workloads with no qualified kernels return the baseline run
-     * (RPG2 inserts nothing).
+     * profile, binary-search the distance over kRpg2Tuning, report
+     * the best run. Workloads with no qualified kernels return the
+     * baseline run (RPG2 inserts nothing).
      */
     Rpg2Outcome runRpg2(const std::string &workload);
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -241,6 +242,61 @@ TEST_F(DriverTest, ResultsIndependentOfThreadCount)
             expectStatsEq(a.stats, b.stats);
             EXPECT_EQ(a.metrics, b.metrics);
         }
+    }
+}
+
+TEST_F(DriverTest, MultiRunJobsStartFirstButResultsKeepSpecOrder)
+{
+    // RPG2 declares its 8-run distance search, so on one thread both
+    // rpg2 jobs start before either triangel job, in spec order —
+    // while result slots and the sink keep the spec's job order.
+    json::Value doc;
+    std::string csv_path = dir + "/order.csv";
+    ASSERT_TRUE(json::parse(
+        "{\"name\": \"order\","
+        " \"workloads\": [\"sphinx3\", \"sssp_100000_5\"],"
+        " \"pipelines\": [\"triangel\", \"rpg2\"],"
+        " \"metrics\": [\"speedup\"],"
+        " \"records\": 60000, \"trace_cache\": false,"
+        " \"sinks\": [{\"type\": \"csv\","
+        "              \"path\": \"" + csv_path + "\"}]}",
+        doc, nullptr));
+    DriverOptions opts;
+    opts.threads = 1;
+    opts.traceOut = dir + "/order.trace.json";
+    auto report = ExperimentDriver(ExperimentSpec::fromJson(doc), opts).run();
+    ASSERT_TRUE(report.ok());
+
+    std::vector<std::pair<double, std::string>> starts;
+    const json::Value trace = readJson(opts.traceOut);
+    for (const auto &e : trace.find("traceEvents")->asArray()) {
+        const std::string &name = e.find("name")->asString();
+        if (e.find("ph")->asString() == "X"
+            && name.rfind("job ", 0) == 0)
+            starts.emplace_back(e.find("ts")->asNumber(), name);
+    }
+    std::sort(starts.begin(), starts.end());
+    ASSERT_EQ(starts.size(), 4u);
+    EXPECT_EQ(starts[0].second, "job sphinx3/rpg2");
+    EXPECT_EQ(starts[1].second, "job sssp_100000_5/rpg2");
+    EXPECT_EQ(starts[2].second, "job sphinx3/triangel");
+    EXPECT_EQ(starts[3].second, "job sssp_100000_5/triangel");
+
+    const std::vector<std::pair<std::string, std::string>> spec_order{
+        {"sphinx3", "triangel"},
+        {"sphinx3", "rpg2"},
+        {"sssp_100000_5", "triangel"},
+        {"sssp_100000_5", "rpg2"}};
+    ASSERT_EQ(report.results.size(), spec_order.size());
+    std::ifstream in(csv_path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line)); // header
+    for (std::size_t i = 0; i < spec_order.size(); ++i) {
+        const auto &[w, p] = spec_order[i];
+        EXPECT_EQ(report.results[i].workload, w);
+        EXPECT_EQ(report.results[i].pipeline, p);
+        ASSERT_TRUE(std::getline(in, line));
+        EXPECT_EQ(line.rfind(w + "," + p + ",", 0), 0u) << line;
     }
 }
 
