@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.hh"
@@ -37,32 +36,34 @@ figure1(const prophet::trace::Trace &t)
     using namespace prophet;
 
     // This pass only needs PCs and line addresses: stream the
-    // trace's SoA arrays directly.
+    // trace's SoA arrays directly, counting per PC-table index.
+    using trace::Trace;
     const std::size_t n = t.size();
-    const PC *pcs = t.pcData();
-    const Addr *lines = t.lineAddrData();
+    const Addr *addrs = t.addrData();
+    const std::uint32_t *metas = t.metaData();
 
     // Identify the hottest PC (the event-queue walk).
-    std::unordered_map<PC, std::uint64_t> counts;
+    std::vector<std::uint64_t> counts(t.pcCount(), 0);
     for (std::size_t i = 0; i < n; ++i)
-        ++counts[pcs[i]];
-    PC hot = 0;
+        ++counts[Trace::pcIndexOf(metas[i])];
+    std::uint32_t hot_index = 0;
     std::uint64_t best = 0;
-    for (const auto &[pc, c] : counts) {
-        if (c > best) {
-            best = c;
-            hot = pc;
+    for (std::uint32_t index = 0; index < counts.size(); ++index) {
+        if (counts[index] > best) {
+            best = counts[index];
+            hot_index = index;
         }
     }
+    const PC hot = t.pcCount() ? t.pcTable()[hot_index] : 0;
 
     // Ground truth per access: does this (prev -> cur) correlation
     // ever repeat later? (Blue vs red dots.)
     std::vector<std::pair<Addr, Addr>> stream;
     Addr last = kInvalidAddr;
     for (std::size_t i = 0; i < n; ++i) {
-        if (pcs[i] != hot)
+        if (Trace::pcIndexOf(metas[i]) != hot_index)
             continue;
-        Addr line = lines[i];
+        Addr line = lineAddr(addrs[i]);
         if (last != kInvalidAddr)
             stream.emplace_back(last, line);
         last = line;
@@ -84,9 +85,9 @@ figure1(const prophet::trace::Trace &t)
     Addr prev = kInvalidAddr;
     std::size_t idx = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        if (pcs[i] != hot)
+        if (Trace::pcIndexOf(metas[i]) != hot_index)
             continue;
-        Addr line = lines[i];
+        Addr line = lineAddr(addrs[i]);
         if (prev != kInvalidAddr && idx < stream.size()) {
             bool repeats = pair_counts[stream[idx]] > 1;
             if (repeats)

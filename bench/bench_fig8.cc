@@ -42,18 +42,19 @@ main(int argc, char **argv)
 
         // Per-PC successor sets per line address, as the training
         // unit observes them. Only PCs and line addresses are
-        // needed, so the pass streams the trace's SoA arrays.
+        // needed, so the pass streams the trace's SoA arrays,
+        // tracking each PC by its PC-table index.
         const std::size_t n = t.size();
-        const PC *pcs = t.pcData();
-        const Addr *lines = t.lineAddrData();
-        std::unordered_map<PC, Addr> last;
+        const Addr *addrs = t.addrData();
+        const std::uint32_t *metas = t.metaData();
+        std::vector<Addr> last(t.pcCount(), kInvalidAddr);
         std::unordered_map<Addr, std::set<Addr>> successors;
         for (std::size_t i = 0; i < n; ++i) {
-            Addr line = lines[i];
-            auto it = last.find(pcs[i]);
-            if (it != last.end() && it->second != line)
-                successors[it->second].insert(line);
-            last[pcs[i]] = line;
+            Addr line = lineAddr(addrs[i]);
+            Addr &prev = last[trace::Trace::pcIndexOf(metas[i])];
+            if (prev != kInvalidAddr && prev != line)
+                successors[prev].insert(line);
+            prev = line;
         }
 
         std::vector<std::uint64_t> counts(kMaxT, 0);

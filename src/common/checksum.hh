@@ -2,7 +2,7 @@
  * @file
  * FNV-1a 64-bit checksums. One implementation shared by the spec
  * hasher (content-addressed experiment identity) and the trace-cache
- * v3 frame (per-array integrity verification): dependency-free, a
+ * file format (per-array integrity verification): dependency-free, a
  * few instructions per byte, and byte-order independent because it
  * hashes the serialized bytes themselves.
  *

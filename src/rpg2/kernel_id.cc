@@ -23,9 +23,11 @@ identifyKernels(const trace::Trace &t,
 
     // Per-PC stride statistics over the trace, plus the dependent
     // consumer that follows each PC (the indirect load a[b[i]] whose
-    // misses the kernel's prefetches would cover). Both maps are
-    // flat: an irregular PC sees a new delta on nearly every access,
-    // and a heap node per delta dominated this pass.
+    // misses the kernel's prefetches would cover). The stats are a
+    // dense vector indexed by the trace's PC-table index, and each
+    // PC's delta counts a flat map: an irregular PC sees a new delta
+    // on nearly every access, and a heap node per delta dominated
+    // this pass.
     struct PcStat
     {
         Addr first = kInvalidAddr; ///< probes the resolver below
@@ -35,17 +37,17 @@ identifyKernels(const trace::Trace &t,
         PC consumer = kInvalidPC;
     };
     // The scan reads the trace's SoA arrays directly: this pass only
-    // needs PCs, byte addresses, and the depends flag, so it streams
-    // those arrays instead of dragging whole records through cache.
+    // needs PC indices, byte addresses, and the depends flag.
     const std::size_t n = t.size();
-    const PC *pcs = t.pcData();
+    const PC *pc_table = t.pcTable();
     const Addr *addrs = t.addrData();
     const std::uint32_t *metas = t.metaData();
+    using trace::Trace;
 
-    FlatMap<PC, PcStat> stats;
+    std::vector<PcStat> stats(t.pcCount());
     for (std::size_t i = 0; i < n; ++i) {
-        const PC pc = pcs[i];
-        PcStat &s = stats[pc];
+        const std::uint32_t index = Trace::pcIndexOf(metas[i]);
+        PcStat &s = stats[index];
         if (s.accesses++ == 0)
             s.first = addrs[i];
         if (s.last != kInvalidAddr) {
@@ -60,17 +62,19 @@ identifyKernels(const trace::Trace &t,
         // between the kernel load and the indirect use).
         if (s.consumer == kInvalidPC) {
             for (std::size_t j = i + 1; j < n && j <= i + 4; ++j) {
-                if (pcs[j] == pc)
+                if (Trace::pcIndexOf(metas[j]) == index)
                     break;
-                if (trace::Trace::dependsOf(metas[j])) {
-                    s.consumer = pcs[j];
+                if (Trace::dependsOf(metas[j])) {
+                    s.consumer = pc_table[Trace::pcIndexOf(metas[j])];
                     break;
                 }
             }
         }
     }
 
-    for (const auto &[pc, s] : stats) {
+    for (std::size_t index = 0; index < stats.size(); ++index) {
+        const PcStat &s = stats[index];
+        const PC pc = pc_table[index];
         if (s.accesses < cfg.minAccesses || s.deltas.empty())
             continue;
 

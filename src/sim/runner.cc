@@ -59,22 +59,6 @@ Runner::injectBaseline(const std::string &workload, RunStats stats)
     baselines.emplace(workload, std::move(stats));
 }
 
-namespace
-{
-/**
- * Estimated resident footprint of one trace: the four SoA arrays
- * (pc[] + addr[] + precomputed lineAddr[] at 8 bytes each, packed
- * meta[] at 4), which dominate a Runner's memory by orders of
- * magnitude over baselines and profiles.
- */
-std::size_t
-residentBytes(const trace::Trace &t)
-{
-    return t.size() * (3 * sizeof(std::uint64_t)
-                       + sizeof(std::uint32_t));
-}
-} // anonymous namespace
-
 void
 Runner::ensureWorkload(const std::string &workload)
 {
@@ -128,7 +112,7 @@ Runner::residentTraceBytes()
     std::size_t total = 0;
     for (const auto &[w, tr] : traces) {
         (void)w;
-        total += residentBytes(*tr);
+        total += tr->residentBytes();
     }
     return total;
 }

@@ -203,7 +203,10 @@ class Runner
      */
     Rpg2Outcome runRpg2(const std::string &workload);
 
-    /** Estimated bytes of every trace this Runner holds. */
+    /**
+     * Bytes of every trace this Runner holds (Trace::residentBytes:
+     * 12 per record plus the PC tables).
+     */
     std::size_t residentTraceBytes();
 
     /** The base configuration (benches derive variants from it). */

@@ -15,6 +15,8 @@
 namespace prophet::sim
 {
 
+using trace::Trace;
+
 namespace
 {
 
@@ -398,7 +400,7 @@ System::runSampled(const trace::Trace &t)
     const std::size_t warm = cfg.sampling.warmupRecords;
     const std::size_t offset = cfg.sampling.offset;
 
-    const PC *pcs = t.pcData();
+    const PC *pcs = t.pcTable();
     const Addr *addrs = t.addrData();
     const std::uint32_t *metas = t.metaData();
 
@@ -431,10 +433,10 @@ System::runSampled(const trace::Trace &t)
             auto t0 = clock::now();
             for (std::size_t i = warm_start; i < win_start; ++i) {
                 const std::uint32_t m = metas[i];
-                stepRecordImpl<false>(pcs[i], addrs[i],
-                                      trace::Trace::gapOf(m),
-                                      trace::Trace::dependsOf(m),
-                                      trace::Trace::writeOf(m));
+                stepRecordImpl<false>(pcs[Trace::pcIndexOf(m)],
+                                      addrs[i], Trace::gapOf(m),
+                                      Trace::dependsOf(m),
+                                      Trace::writeOf(m));
             }
             warmWallNs += deltaNs(t0, clock::now());
         }
@@ -443,10 +445,10 @@ System::runSampled(const trace::Trace &t)
         windowBegin();
         for (std::size_t i = win_start; i < win_end; ++i) {
             const std::uint32_t m = metas[i];
-            stepRecordImpl<true>(pcs[i], addrs[i],
-                                 trace::Trace::gapOf(m),
-                                 trace::Trace::dependsOf(m),
-                                 trace::Trace::writeOf(m));
+            stepRecordImpl<true>(pcs[Trace::pcIndexOf(m)],
+                                 addrs[i], Trace::gapOf(m),
+                                 Trace::dependsOf(m),
+                                 Trace::writeOf(m));
         }
         windowEnd();
         windowWallNs += deltaNs(t0, clock::now());
@@ -466,10 +468,10 @@ System::runSampled(const trace::Trace &t)
         warmed = false;
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint32_t m = metas[i];
-            stepRecordImpl<true>(pcs[i], addrs[i],
-                                 trace::Trace::gapOf(m),
-                                 trace::Trace::dependsOf(m),
-                                 trace::Trace::writeOf(m));
+            stepRecordImpl<true>(pcs[Trace::pcIndexOf(m)],
+                                 addrs[i], Trace::gapOf(m),
+                                 Trace::dependsOf(m),
+                                 Trace::writeOf(m));
         }
         return finish();
     }
@@ -597,7 +599,8 @@ System::run(const trace::Trace &t)
     beginRun(t.size());
 
     // The whole-trace loop reads the trace's SoA arrays directly —
-    // no TraceRecord is materialized — and runs in two blocks
+    // no TraceRecord is materialized, each record's PC comes from the
+    // trace's PC table — and runs in two blocks
     // separated by the point where the lookahead runs out. Block 1:
     // while record i is simulated, the set-scan arrays record i+K
     // will probe (all cache levels plus the temporal prefetcher's
@@ -608,29 +611,30 @@ System::run(const trace::Trace &t)
     // architectural effect: results are bit-identical to scalar
     // step() calls (pinned by tests/test_pipelines.cc).
     const std::size_t n = t.size();
-    const PC *pcs = t.pcData();
+    const PC *pcs = t.pcTable();
     const Addr *addrs = t.addrData();
-    const Addr *lines = t.lineAddrData();
     const std::uint32_t *metas = t.metaData();
 
     constexpr std::size_t K = kPrefetchLookahead;
     const std::size_t lookahead_end = n > K ? n - K : 0;
     std::size_t i = 0;
     for (; i < lookahead_end; ++i) {
-        const Addr ahead = lines[i + K];
+        const Addr ahead = lineAddr(addrs[i + K]);
         hier.prefetchSets(ahead);
         if (l2Raw)
             l2Raw->prefetchSets(ahead);
         const std::uint32_t m = metas[i];
-        stepRecord(pcs[i], addrs[i], trace::Trace::gapOf(m),
-                   trace::Trace::dependsOf(m),
-                   trace::Trace::writeOf(m));
+        stepRecord(pcs[Trace::pcIndexOf(m)],
+                   addrs[i], Trace::gapOf(m),
+                   Trace::dependsOf(m),
+                   Trace::writeOf(m));
     }
     for (; i < n; ++i) {
         const std::uint32_t m = metas[i];
-        stepRecord(pcs[i], addrs[i], trace::Trace::gapOf(m),
-                   trace::Trace::dependsOf(m),
-                   trace::Trace::writeOf(m));
+        stepRecord(pcs[Trace::pcIndexOf(m)],
+                   addrs[i], Trace::gapOf(m),
+                   Trace::dependsOf(m),
+                   Trace::writeOf(m));
     }
     return finish();
 }

@@ -4,26 +4,27 @@
  * and the simulator. Traces also expose an instruction count so the
  * timing model can compute IPC.
  *
- * Storage is structure-of-arrays: the record loop is bandwidth-bound,
- * and the hot consumers (System::run, kernel identification, the
- * trace-analysis passes) each read only a subset of the record
- * fields. Four parallel arrays — pc, byte address, precomputed line
- * address, and a packed instGap/flags word — let each consumer stream
- * exactly the bytes it needs, and let trace (de)serialization move
- * whole arrays with single bulk I/O calls. `operator[]` materializes
- * a TraceRecord by value so record-at-a-time call sites keep working
- * unchanged.
+ * Storage is structure-of-arrays at 12 bytes per record: the byte
+ * address, and a packed meta word that holds the instruction gap,
+ * the two flags and an index into the trace's PC table. A workload
+ * has a handful of distinct memory-instruction PCs, so an 8-byte PC
+ * per record would be almost all repeats; the line address is
+ * `addr >> kLineShift`, one shift wherever it is needed. The record
+ * loop streams these arrays directly, and trace (de)serialization
+ * moves each of them with one bulk I/O call. `operator[]`
+ * materializes a TraceRecord by value so record-at-a-time call sites
+ * keep working unchanged.
  */
 
 #ifndef PROPHET_TRACE_TRACE_HH
 #define PROPHET_TRACE_TRACE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <cstddef>
 #include <iterator>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/no_init_allocator.hh"
 #include "trace/record.hh"
 
@@ -32,21 +33,28 @@ namespace prophet::trace
 
 /**
  * A whole-workload memory access trace. Appending maintains the total
- * retired-instruction count (memory instructions + instruction gaps).
+ * retired-instruction count (memory instructions + instruction gaps)
+ * and the PC table.
  */
 class Trace
 {
   public:
     /**
      * Packed per-record metadata word: instGap in bits 0-15,
-     * dependsOnPrev in bit 16, isWrite in bit 17. This is also the
-     * on-disk encoding of the trace-cache v2 format's meta array
-     * (every bit is defined, so bulk-written files are
-     * deterministic).
+     * dependsOnPrev in bit 16, isWrite in bit 17, and the index of
+     * the record's PC in the trace's PC table in bits 18-31. Every
+     * bit is defined, so this is also the on-disk encoding of the
+     * trace-cache meta array and bulk-written files are
+     * deterministic.
      */
     static constexpr std::uint32_t kGapMask = 0xffffu;
     static constexpr std::uint32_t kDependsBit = 1u << 16;
     static constexpr std::uint32_t kWriteBit = 1u << 17;
+    static constexpr unsigned kPcIndexShift = 18;
+
+    /** Distinct PCs one trace can hold: the 14-bit index's range. */
+    static constexpr std::size_t kMaxPcs = std::size_t{1}
+        << (32 - kPcIndexShift);
 
     /**
      * Array type of the SoA columns. The no-init allocator matters
@@ -78,14 +86,22 @@ class Trace
         return (meta & kWriteBit) != 0;
     }
 
-    /** Encode (gap, depends, write) into a packed meta word. */
+    /** Decode the PC-table index from a packed meta word. */
+    static std::uint32_t
+    pcIndexOf(std::uint32_t meta)
+    {
+        return meta >> kPcIndexShift;
+    }
+
+    /** Encode (gap, depends, write, PC index) into a meta word. */
     static std::uint32_t
     packMeta(std::uint16_t inst_gap, bool depends_on_prev,
-             bool is_write)
+             bool is_write, std::uint32_t pc_index)
     {
         return static_cast<std::uint32_t>(inst_gap)
             | (depends_on_prev ? kDependsBit : 0u)
-            | (is_write ? kWriteBit : 0u);
+            | (is_write ? kWriteBit : 0u)
+            | (pc_index << kPcIndexShift);
     }
 
     Trace() = default;
@@ -94,22 +110,26 @@ class Trace
     void
     reserve(std::size_t n)
     {
-        pcs.reserve(n);
         addrs.reserve(n);
-        lines.reserve(n);
         metas.reserve(n);
     }
 
-    /** Append one record (primary form: no TraceRecord materialized). */
+    /**
+     * Append one record (primary form: no TraceRecord materialized).
+     * Throws prophet::Error when @p pc would be the trace's
+     * (kMaxPcs + 1)th distinct PC.
+     */
     void
     append(PC pc, Addr addr, std::uint16_t inst_gap = 1,
            bool depends_on_prev = false, bool is_write = false)
     {
+        auto it = pcIndex.find(pc);
+        const std::uint32_t index =
+            it != pcIndex.end() ? it->second : addPc(pc);
         totalInsts += inst_gap + 1;
-        pcs.push_back(pc);
         addrs.push_back(addr);
-        lines.push_back(lineAddr(addr));
-        metas.push_back(packMeta(inst_gap, depends_on_prev, is_write));
+        metas.push_back(
+            packMeta(inst_gap, depends_on_prev, is_write, index));
     }
 
     /** Append one record. */
@@ -121,58 +141,29 @@ class Trace
     }
 
     /**
-     * Adopt bulk-loaded arrays (trace-cache v2 loads). Line addresses
-     * and the instruction count are recomputed, so only the three
-     * stored arrays travel through I/O. @p metas_in words must use the
-     * packMeta encoding; undefined bits are masked off.
+     * Adopt bulk-loaded arrays (trace-cache loads). One pass over
+     * @p metas_in sums the instruction gaps and checks every PC
+     * index against @p pc_table. Returns false, leaving this trace
+     * unchanged, when the arrays differ in length, the table holds
+     * more than kMaxPcs PCs, or a record's index is past the table.
      */
-    void
-    adopt(BulkVector<PC> pcs_in, BulkVector<Addr> addrs_in,
-          BulkVector<std::uint32_t> metas_in)
-    {
-        pcs = std::move(pcs_in);
-        addrs = std::move(addrs_in);
-        metas = std::move(metas_in);
-        const std::size_t n = addrs.size();
-        lines.resize(n);
-        // Single-purpose passes the compiler can vectorize (the
-        // fused per-record loop stayed scalar): a pure u64 shift for
-        // the line addresses, then mask + gap sum over the u32 meta
-        // words. The sum accumulates into a 32-bit partial per chunk
-        // — 32768 gaps of <= 0xffff cannot overflow — so the
-        // reduction stays in vector width instead of widening every
-        // element to u64.
-        for (std::size_t i = 0; i < n; ++i)
-            lines[i] = lineAddr(addrs[i]);
-        constexpr std::uint32_t defined =
-            kGapMask | kDependsBit | kWriteBit;
-        constexpr std::size_t kSumChunk = 32768;
-        std::uint64_t gaps = 0;
-        for (std::size_t base = 0; base < n; base += kSumChunk) {
-            const std::size_t end = std::min(n, base + kSumChunk);
-            std::uint32_t part = 0;
-            for (std::size_t i = base; i < end; ++i) {
-                metas[i] &= defined;
-                part += metas[i] & kGapMask;
-            }
-            gaps += part;
-        }
-        totalInsts = gaps + n;
-    }
+    bool adopt(BulkVector<Addr> addrs_in,
+               BulkVector<std::uint32_t> metas_in,
+               std::vector<PC> pc_table);
 
     /** Number of memory accesses. */
-    std::size_t size() const { return pcs.size(); }
+    std::size_t size() const { return addrs.size(); }
 
     /** True if the trace has no records. */
-    bool empty() const { return pcs.empty(); }
+    bool empty() const { return addrs.empty(); }
 
     /** Materialize record i (by value; the storage is SoA). */
     TraceRecord
     operator[](std::size_t i) const
     {
         const std::uint32_t m = metas[i];
-        return TraceRecord{pcs[i], addrs[i], gapOf(m), dependsOf(m),
-                           writeOf(m)};
+        return TraceRecord{pcs[pcIndexOf(m)], addrs[i], gapOf(m),
+                           dependsOf(m), writeOf(m)};
     }
 
     /** Total retired instructions represented by the trace. */
@@ -180,17 +171,28 @@ class Trace
 
     // ---- SoA views (hot-loop consumers read these directly) ----
 
-    /** PC of every record. */
-    const PC *pcData() const { return pcs.data(); }
-
     /** Byte address of every record. */
     const Addr *addrData() const { return addrs.data(); }
 
-    /** Precomputed line address (addr >> kLineShift) of every record. */
-    const Addr *lineAddrData() const { return lines.data(); }
-
-    /** Packed instGap/flags word of every record (see packMeta). */
+    /** Packed gap/flags/PC-index word of every record (packMeta). */
     const std::uint32_t *metaData() const { return metas.data(); }
+
+    /** The PC table, in order of first appearance. */
+    const PC *pcTable() const { return pcs.data(); }
+
+    /** Distinct PCs in the trace (the PC table's length). */
+    std::size_t pcCount() const { return pcs.size(); }
+
+    /**
+     * Resident bytes of the record arrays and the PC table: what a
+     * trace costs in memory, 12 bytes per record plus 8 per PC.
+     */
+    std::size_t
+    residentBytes() const
+    {
+        return size() * (sizeof(Addr) + sizeof(std::uint32_t))
+            + pcCount() * sizeof(PC);
+    }
 
     /**
      * Iteration support: a proxy iterator materializing TraceRecords
@@ -247,11 +249,14 @@ class Trace
     const_iterator end() const { return {this, size()}; }
 
   private:
-    BulkVector<PC> pcs;
     BulkVector<Addr> addrs;
-    BulkVector<Addr> lines;           ///< precomputed line addresses
-    BulkVector<std::uint32_t> metas;  ///< packed instGap/flags
+    BulkVector<std::uint32_t> metas; ///< packed gap/flags/PC index
+    std::vector<PC> pcs;             ///< the PC table
+    FlatMap<PC, std::uint32_t> pcIndex; ///< PC -> index into pcs
     std::uint64_t totalInsts = 0;
+
+    /** Add @p pc to the table; throws past kMaxPcs distinct PCs. */
+    std::uint32_t addPc(PC pc);
 };
 
 } // namespace prophet::trace

@@ -1,6 +1,5 @@
 #include "trace/trace_io.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -16,16 +15,17 @@ namespace
 
 constexpr char kMagic[4] = {'P', 'T', 'R', 'C'};
 
-/** Bytes of magic, version and count. */
-constexpr long kHeaderBytes = 16;
+/**
+ * Bytes of the v4 header: magic and version, then five u64 fields —
+ * record count, PC-table length and the three array checksums.
+ */
+constexpr std::size_t kHeaderFields = 5;
+constexpr long kHeaderBytes =
+    8 + static_cast<long>(kHeaderFields * sizeof(std::uint64_t));
 
-/** The full v3 header: three u64 array checksums follow. */
-constexpr long kV3HeaderBytes =
-    kHeaderBytes + 3 * static_cast<long>(sizeof(std::uint64_t));
-
-/** Per-record payload bytes of the SoA format. */
-constexpr std::uint64_t kSoaRecordBytes =
-    sizeof(std::uint64_t) * 2 + sizeof(std::uint32_t);
+/** Per-record payload bytes: addr[] and meta[]. */
+constexpr std::uint64_t kRecordBytes =
+    sizeof(Addr) + sizeof(std::uint32_t);
 
 struct FileCloser
 {
@@ -61,92 +61,76 @@ injectedFwrite(const void *src, std::size_t size, std::size_t n,
     return std::fwrite(src, size, n, f);
 }
 
-bool
-writeHeader(std::FILE *f, std::uint32_t version, std::uint64_t count)
-{
-    return injectedFwrite(kMagic, 1, 4, f) == 4
-        && injectedFwrite(&version, sizeof(version), 1, f) == 1
-        && injectedFwrite(&count, sizeof(count), 1, f) == 1;
-}
-
 /**
- * Payload record capacity of the file behind @p f, used to validate
- * the untrusted header count before any allocation: a corrupted
- * header fails cleanly instead of throwing std::length_error.
- * Leaves the file position at the start of the payload.
- */
-bool
-payloadRecords(std::FILE *f, long header_bytes,
-               std::uint64_t record_bytes, std::uint64_t &max_records)
-{
-    if (std::fseek(f, 0, SEEK_END) != 0)
-        return false;
-    long file_size = std::ftell(f);
-    if (file_size < header_bytes
-        || std::fseek(f, header_bytes, SEEK_SET) != 0)
-        return false;
-    max_records =
-        static_cast<std::uint64_t>(file_size - header_bytes)
-        / record_bytes;
-    return true;
-}
-
-/**
- * The SoA payload reader. @p checksums holds the three header
- * checksums and each array is verified after the bulk read; a
+ * The v4 payload reader. @p checksums holds the three header
+ * checksums and each array is verified after its bulk read; a
  * mismatch reports ChecksumMismatch at the offending array's offset.
+ * The untrusted header lengths are checked against the file size
+ * before any allocation, so a corrupted header fails cleanly instead
+ * of throwing std::length_error.
  */
 void
-loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
-        const std::uint64_t *checksums, LoadReport &report)
+loadPayload(Trace &out, std::FILE *f, std::uint64_t count,
+            std::uint64_t pc_count, const std::uint64_t *checksums,
+            LoadReport &report)
 {
-    std::uint64_t max_records = 0;
-    if (!payloadRecords(f, kV3HeaderBytes, kSoaRecordBytes,
-                        max_records)) {
-        report.status = LoadStatus::Truncated;
+    report.status = LoadStatus::Truncated;
+    report.offset = static_cast<std::uint64_t>(kHeaderBytes);
+    if (std::fseek(f, 0, SEEK_END) != 0)
         return;
-    }
-    if (count > max_records) {
-        report.status = LoadStatus::Truncated;
-        report.offset = static_cast<std::uint64_t>(kV3HeaderBytes);
+    const long file_size = std::ftell(f);
+    if (file_size < kHeaderBytes
+        || std::fseek(f, kHeaderBytes, SEEK_SET) != 0)
         return;
-    }
+    const auto payload =
+        static_cast<std::uint64_t>(file_size - kHeaderBytes);
+    const std::uint64_t table_bytes = pc_count * sizeof(PC);
+    if (payload < table_bytes
+        || (payload - table_bytes) / kRecordBytes < count)
+        return;
+
     // BulkVector sizing leaves the elements uninitialized: fread is
     // the first touch of every page, not a value-init memset.
-    Trace::BulkVector<PC> pcs(count);
+    std::vector<PC> pcs(pc_count);
     Trace::BulkVector<Addr> addrs(count);
     Trace::BulkVector<std::uint32_t> metas(count);
     struct ArrayDesc
     {
         void *data;
         std::size_t elemSize;
+        std::uint64_t elems;
     };
     const ArrayDesc arrays[3] = {
-        {pcs.data(), sizeof(PC)},
-        {addrs.data(), sizeof(Addr)},
-        {metas.data(), sizeof(std::uint32_t)},
+        {pcs.data(), sizeof(PC), pc_count},
+        {addrs.data(), sizeof(Addr), count},
+        {metas.data(), sizeof(std::uint32_t), count},
     };
-    std::uint64_t offset = static_cast<std::uint64_t>(kV3HeaderBytes);
+    std::uint64_t offset = static_cast<std::uint64_t>(kHeaderBytes);
     for (int a = 0; a < 3; ++a) {
-        if (count > 0
-            && injectedFread(arrays[a].data, arrays[a].elemSize,
-                             count, f)
-                != count) {
+        const ArrayDesc &arr = arrays[a];
+        report.offset = offset;
+        if (arr.elems > 0
+            && injectedFread(arr.data, arr.elemSize, arr.elems, f)
+                != arr.elems) {
             report.status = LoadStatus::ReadFail;
-            report.offset = offset;
             return;
         }
-        std::uint64_t sum =
-            fnv1a64(arrays[a].data, arrays[a].elemSize * count);
-        if (sum != checksums[a]) {
+        if (fnv1a64(arr.data, arr.elemSize * arr.elems)
+            != checksums[a]) {
             report.status = LoadStatus::ChecksumMismatch;
-            report.offset = offset;
             return;
         }
-        offset += arrays[a].elemSize * count;
+        offset += arr.elemSize * arr.elems;
     }
-    out.adopt(std::move(pcs), std::move(addrs), std::move(metas));
+    // report.offset is now the meta array's: adopt() rejects a
+    // record whose PC index is past the table.
+    if (!out.adopt(std::move(addrs), std::move(metas),
+                   std::move(pcs))) {
+        report.status = LoadStatus::BadPcIndex;
+        return;
+    }
     report.status = LoadStatus::Ok;
+    report.offset = LoadReport{}.offset;
 }
 
 } // anonymous namespace
@@ -167,6 +151,8 @@ loadStatusName(LoadStatus status)
         return "read-fail";
       case LoadStatus::ChecksumMismatch:
         return "checksum-mismatch";
+      case LoadStatus::BadPcIndex:
+        return "bad-pc-index";
     }
     return "unknown";
 }
@@ -177,30 +163,33 @@ saveBinary(const Trace &t, const std::string &path)
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)
         return false;
+    const std::uint32_t version = kTraceFormatVersion;
     const std::uint64_t count = t.size();
-    if (!writeHeader(f.get(), kTraceFormatV3, count))
-        return false;
-    const std::uint64_t checksums[3] = {
-        fnv1a64(t.pcData(), sizeof(PC) * count),
+    const std::uint64_t pc_count = t.pcCount();
+    const std::uint64_t fields[kHeaderFields] = {
+        count,
+        pc_count,
+        fnv1a64(t.pcTable(), sizeof(PC) * pc_count),
         fnv1a64(t.addrData(), sizeof(Addr) * count),
         fnv1a64(t.metaData(), sizeof(std::uint32_t) * count),
     };
-    if (injectedFwrite(checksums, sizeof(std::uint64_t), 3, f.get())
-        != 3)
+    if (injectedFwrite(kMagic, 1, 4, f.get()) != 4
+        || injectedFwrite(&version, sizeof(version), 1, f.get()) != 1
+        || injectedFwrite(fields, sizeof(std::uint64_t), kHeaderFields,
+                          f.get())
+            != kHeaderFields)
         return false;
-    if (count == 0)
-        return true;
-    if (injectedFwrite(t.pcData(), sizeof(PC), count, f.get())
-        != count)
-        return false;
-    if (injectedFwrite(t.addrData(), sizeof(Addr), count, f.get())
-        != count)
-        return false;
-    if (injectedFwrite(t.metaData(), sizeof(std::uint32_t), count,
-                       f.get())
-        != count)
-        return false;
-    return true;
+    return (pc_count == 0
+            || injectedFwrite(t.pcTable(), sizeof(PC), pc_count,
+                              f.get())
+                == pc_count)
+        && (count == 0
+            || (injectedFwrite(t.addrData(), sizeof(Addr), count,
+                               f.get())
+                    == count
+                && injectedFwrite(t.metaData(), sizeof(std::uint32_t),
+                                  count, f.get())
+                    == count));
 }
 
 bool
@@ -219,31 +208,27 @@ loadBinary(Trace &out, const std::string &path, LoadReport &report)
     // error the caller might retry).
     char magic[4];
     std::uint32_t version = 0;
-    std::uint64_t count = 0;
-    if (std::fread(magic, 1, 4, f.get()) != 4
-        || std::memcmp(magic, kMagic, 4) != 0
-        || std::fread(&version, sizeof(version), 1, f.get()) != 1
-        || std::fread(&count, sizeof(count), 1, f.get()) != 1) {
-        report.status = LoadStatus::BadHeader;
-        report.offset = 0;
-        return false;
-    }
-    report.version = version;
-
-    // Any other version — including the retired v1/v2 — is a bad
-    // header: the caller (the trace cache) treats it like any other
-    // unreadable entry and regenerates.
-    if (version != kTraceFormatV3) {
-        report.status = LoadStatus::BadHeader;
-        report.offset = 4; // the version field
-    } else {
-        std::uint64_t checksums[3];
-        if (std::fread(checksums, sizeof(std::uint64_t), 3, f.get())
-            != 3) {
-            report.status = LoadStatus::BadHeader;
-            report.offset = static_cast<std::uint64_t>(kHeaderBytes);
-        } else {
-            loadSoa(out, f.get(), count, checksums, report);
+    std::uint64_t fields[kHeaderFields];
+    report.status = LoadStatus::BadHeader;
+    report.offset = 0;
+    if (std::fread(magic, 1, 4, f.get()) == 4
+        && std::memcmp(magic, kMagic, 4) == 0
+        && std::fread(&version, sizeof(version), 1, f.get()) == 1) {
+        report.version = version;
+        // Any other version — including the retired v1-v3 — is a
+        // bad header: the caller (the trace cache) treats it like
+        // any other unreadable entry and regenerates.
+        report.offset = 4;
+        if (version == kTraceFormatVersion) {
+            report.offset = 8;
+            if (std::fread(fields, sizeof(std::uint64_t), kHeaderFields,
+                           f.get())
+                == kHeaderFields) {
+                report.offset = 16; // the PC-table length
+                if (fields[1] <= Trace::kMaxPcs)
+                    loadPayload(out, f.get(), fields[0], fields[1],
+                                fields + 2, report);
+            }
         }
     }
     if (!report.ok()) {
@@ -258,41 +243,6 @@ loadBinary(Trace &out, const std::string &path)
 {
     LoadReport report;
     return loadBinary(out, path, report);
-}
-
-bool
-saveText(const Trace &t, const std::string &path)
-{
-    FilePtr f(std::fopen(path.c_str(), "w"));
-    if (!f)
-        return false;
-    for (const auto &rec : t) {
-        if (std::fprintf(f.get(),
-                         "%" PRIx64 " %" PRIx64 " %u %u %u\n",
-                         rec.pc, rec.addr, rec.instGap,
-                         rec.dependsOnPrev ? 1 : 0,
-                         rec.isWrite ? 1 : 0) < 0)
-            return false;
-    }
-    return true;
-}
-
-bool
-loadText(Trace &out, const std::string &path)
-{
-    out = Trace{};
-    FilePtr f(std::fopen(path.c_str(), "r"));
-    if (!f)
-        return false;
-    std::uint64_t pc, addr;
-    unsigned gap, dep, wr;
-    while (std::fscanf(f.get(),
-                       "%" SCNx64 " %" SCNx64 " %u %u %u\n", &pc,
-                       &addr, &gap, &dep, &wr) == 5) {
-        out.append(pc, addr, static_cast<std::uint16_t>(gap), dep != 0,
-                   wr != 0);
-    }
-    return true;
 }
 
 } // namespace prophet::trace

@@ -1,30 +1,32 @@
 /**
  * @file
- * Trace serialization: a compact binary format so traces can be
- * generated once, archived, and replayed (the SimPoint-checkpoint
- * workflow's moral equivalent), plus a human-readable text form for
- * debugging and interop with external tools.
+ * Trace serialization: the binary format the trace cache stores
+ * traces in, so a trace is generated once and reloaded by later
+ * invocations.
  *
- * Binary format v3 mirrors the in-memory SoA layout and adds
- * per-array integrity: after the header, one FNV-1a 64 checksum per
- * array, then the pc, addr, and packed-meta arrays written whole —
- * three bulk fwrite calls instead of one per record. Loads read the
+ * Binary format v4 mirrors the in-memory layout (trace/trace.hh) and
+ * adds per-array integrity: after the header, one FNV-1a 64 checksum
+ * per array, then the PC table, the addr array and the packed-meta
+ * array written whole — three bulk fwrite calls. Loads read the
  * arrays back the same way and verify every checksum, so a
  * bit-flipped or torn entry is detected deterministically instead of
- * only when the header happens to be implausible. v3 is the only
- * format: an older (v1/v2) header loads as BadHeader, which the trace
- * cache treats like any other damaged entry and regenerates.
+ * only when the header happens to be implausible; every PC index is
+ * then checked against the table. v4 is the only format: any other
+ * version's header (the retired v1-v3 included) loads as BadHeader,
+ * which the trace cache treats like any other damaged entry and
+ * regenerates.
  *
- * | v3 layout | bytes        | content                              |
+ * | v4 layout | bytes        | content                              |
  * |-----------|--------------|--------------------------------------|
  * | magic     | 4            | "PTRC"                               |
- * | version   | 4            | 3 (little-endian u32)                |
+ * | version   | 4            | 4 (little-endian u32)                |
  * | count     | 8            | record count N (u64)                 |
+ * | pcs       | 8            | PC-table length T <= 16384 (u64)     |
  * | cksum[3]  | 8 x 3        | FNV-1a 64 of pc[], addr[], meta[]    |
- * | pc[]      | 8 x N        | PC per record                        |
+ * | pc[]      | 8 x T        | the PC table, first-appearance order |
  * | addr[]    | 8 x N        | byte address per record              |
  * | meta[]    | 4 x N        | instGap (bits 0-15), depends (16),   |
- * |           |              | write (17); other bits zero          |
+ * |           |              | write (17), PC index < T (18-31)     |
  *
  * Fault points (common/fault_injection.hh): "trace_io.fread" fails a
  * payload read, "trace_io.fwrite" fails a payload write (the
@@ -43,17 +45,18 @@ namespace prophet::trace
 {
 
 /** The binary-format version saveBinary writes and loadBinary reads. */
-constexpr std::uint32_t kTraceFormatV3 = 3;
+constexpr std::uint32_t kTraceFormatVersion = 4;
 
 /** Why a binary load failed (or that it didn't). */
 enum class LoadStatus
 {
     Ok = 0,
     OpenFail,         ///< file missing or unreadable — not corruption
-    BadHeader,        ///< magic/version/count implausible
+    BadHeader,        ///< magic/version/table size implausible
     Truncated,        ///< payload shorter than the header promises
     ReadFail,         ///< a read failed mid-payload (I/O error)
-    ChecksumMismatch, ///< v3 array checksum did not verify
+    ChecksumMismatch, ///< an array checksum did not verify
+    BadPcIndex,       ///< a record's PC index is past the table
 };
 
 /** Human-readable name of a LoadStatus ("checksum-mismatch", ...). */
@@ -78,12 +81,13 @@ struct LoadReport
     {
         return status == LoadStatus::BadHeader
             || status == LoadStatus::Truncated
-            || status == LoadStatus::ChecksumMismatch;
+            || status == LoadStatus::ChecksumMismatch
+            || status == LoadStatus::BadPcIndex;
     }
 };
 
 /**
- * Write a trace in the current (v3, checksummed) binary format.
+ * Write a trace in the current (v4, checksummed) binary format.
  * Returns false on I/O failure.
  */
 bool saveBinary(const Trace &t, const std::string &path);
@@ -101,15 +105,6 @@ bool loadBinary(Trace &out, const std::string &path);
  */
 bool loadBinary(Trace &out, const std::string &path,
                 LoadReport &report);
-
-/**
- * Write a text form: one record per line,
- * "pc addr inst_gap depends is_write" in hex/dec.
- */
-bool saveText(const Trace &t, const std::string &path);
-
-/** Read the text form. */
-bool loadText(Trace &out, const std::string &path);
 
 } // namespace prophet::trace
 

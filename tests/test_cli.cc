@@ -198,7 +198,7 @@ TEST_F(CliTest, ScriptedFlagSetsStillRun)
     Outcome stats =
         prophet("trace-cache stats --trace-cache-dir cache", dir);
     EXPECT_EQ(stats.exitCode, 0) << stats.output;
-    EXPECT_NE(stats.output.find("format v3: 1 entry"),
+    EXPECT_NE(stats.output.find("format v4: 1 entry"),
               std::string::npos)
         << stats.output;
 }

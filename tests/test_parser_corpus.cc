@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,8 +19,10 @@
 #include <string>
 #include <unistd.h>
 
+#include "common/checksum.hh"
 #include "driver/json.hh"
 #include "driver/spec.hh"
+#include "trace/trace_cache.hh"
 #include "trace/trace_io.hh"
 
 namespace fs = std::filesystem;
@@ -199,16 +202,22 @@ TEST(ParserCorpus, SpecFileBitFlipsYieldASpecOrASpecError)
     std::remove(path.c_str());
 }
 
+/** Byte offsets in a v4 trace file (trace/trace_io.hh). */
+constexpr std::size_t kPcCountOffset = 16;
+constexpr std::size_t kChecksumOffset = 24;
+constexpr std::size_t kHeaderBytes = 48;
+
 class TraceCorpus : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        path = (fs::temp_directory_path()
-                / ("prophet_corpus_trace_"
-                   + std::to_string(::getpid()) + ".ptrc"))
-                   .string();
+        const std::string stem =
+            "prophet_corpus_trace_" + std::to_string(::getpid());
+        path = (fs::temp_directory_path() / (stem + ".ptrc")).string();
+        cacheDir = (fs::temp_directory_path() / (stem + "_cache"))
+                       .string();
         for (unsigned i = 0; i < 64; ++i)
             original.append(0x400000 + 4 * (i % 7), 0x10000 + 64 * i,
                             static_cast<std::uint16_t>(i % 5), i & 1,
@@ -217,10 +226,18 @@ class TraceCorpus : public ::testing::Test
         std::ifstream in(path, std::ios::binary);
         base.assign(std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>());
-        ASSERT_EQ(base.size(), 16u + 24u + 20u * original.size());
+        ASSERT_EQ(original.pcCount(), 7u);
+        ASSERT_EQ(base.size(), kHeaderBytes + 8u * 7
+                                   + 12u * original.size());
+        metaOffset = kHeaderBytes + 8 * 7 + 8 * original.size();
     }
 
-    void TearDown() override { std::remove(path.c_str()); }
+    void
+    TearDown() override
+    {
+        std::remove(path.c_str());
+        fs::remove_all(cacheDir);
+    }
 
     /** Write @p bytes to the file and load it back. */
     trace::LoadReport
@@ -235,10 +252,46 @@ class TraceCorpus : public ::testing::Test
         return report;
     }
 
+    /**
+     * Plant @p bytes as a trace-cache entry: the load must miss and
+     * quarantine it, and a regenerated store must load back whole.
+     */
+    void
+    expectCacheRegenerates(const std::string &bytes)
+    {
+        fs::remove_all(cacheDir);
+        fs::create_directories(cacheDir);
+        trace::TraceCache cache(cacheDir);
+        const std::size_t n = original.size();
+        {
+            std::ofstream f(cache.path("corpus", n), std::ios::binary);
+            f << bytes;
+        }
+        trace::Trace out;
+        EXPECT_FALSE(cache.load("corpus", n, out));
+        EXPECT_TRUE(out.empty());
+        EXPECT_EQ(cache.stats().quarantines, 1u);
+        ASSERT_TRUE(cache.store("corpus", n, original));
+        ASSERT_TRUE(cache.load("corpus", n, out));
+        ASSERT_EQ(out.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out[i].pc, original[i].pc);
+    }
+
     std::string path;
+    std::string cacheDir;
     std::string base;
+    std::size_t metaOffset = 0;
     trace::Trace original;
 };
+
+/** @p bytes with the u64 at @p offset replaced by @p value. */
+std::string
+withU64(std::string bytes, std::size_t offset, std::uint64_t value)
+{
+    bytes.replace(offset, 8, reinterpret_cast<const char *>(&value), 8);
+    return bytes;
+}
 
 TEST_F(TraceCorpus, BitFlipsAreDetectedAsCorruption)
 {
@@ -259,14 +312,18 @@ TEST_F(TraceCorpus, BitFlipsAreDetectedAsCorruption)
     });
 }
 
-TEST_F(TraceCorpus, EveryVersionButV3IsABadHeader)
+TEST_F(TraceCorpus, EveryVersionButV4IsABadHeader)
 {
-    // Includes the retired v1 and v2: their headers are well formed
-    // and followed by a plausible payload, yet no longer load.
-    for (std::uint32_t version : {0u, 1u, 2u, 4u, 0x03000000u}) {
-        SCOPED_TRACE(version);
+    // Includes the retired v1-v3: their headers are well formed and
+    // followed by a plausible payload, yet no longer load.
+    auto withVersion = [&](std::uint32_t version) {
         std::string bytes = base;
         bytes.replace(4, 4, reinterpret_cast<const char *>(&version), 4);
+        return bytes;
+    };
+    for (std::uint32_t version : {0u, 1u, 2u, 3u, 5u, 0x04000000u}) {
+        SCOPED_TRACE(version);
+        const std::string bytes = withVersion(version);
         trace::Trace out;
         auto report = load(bytes, out);
         EXPECT_EQ(report.status, trace::LoadStatus::BadHeader);
@@ -274,6 +331,94 @@ TEST_F(TraceCorpus, EveryVersionButV3IsABadHeader)
         EXPECT_EQ(report.version, version);
         EXPECT_TRUE(report.corrupt());
         EXPECT_TRUE(out.empty());
+    }
+    expectCacheRegenerates(withVersion(3));
+}
+
+TEST_F(TraceCorpus, TruncatedPcTableIsDetected)
+{
+    for (std::size_t len = kHeaderBytes;
+         len < kHeaderBytes + 8 * original.pcCount(); ++len) {
+        SCOPED_TRACE(len);
+        trace::Trace out;
+        auto report = load(base.substr(0, len), out);
+        EXPECT_EQ(report.status, trace::LoadStatus::Truncated);
+        EXPECT_EQ(report.offset, kHeaderBytes);
+        EXPECT_TRUE(out.empty());
+    }
+    expectCacheRegenerates(base.substr(0, kHeaderBytes + 12));
+}
+
+TEST_F(TraceCorpus, PcTableLongerThanTheIndexIsABadHeader)
+{
+    // 16384 is the largest table the 14-bit index can address: it
+    // passes the header check (then fails on the short payload);
+    // one more is a bad header however long the file.
+    for (std::uint64_t pcs : {std::uint64_t{16385},
+                              std::uint64_t{1} << 40,
+                              ~std::uint64_t{0}}) {
+        SCOPED_TRACE(pcs);
+        trace::Trace out;
+        auto report = load(withU64(base, kPcCountOffset, pcs), out);
+        EXPECT_EQ(report.status, trace::LoadStatus::BadHeader);
+        EXPECT_EQ(report.offset, kPcCountOffset);
+        EXPECT_TRUE(out.empty());
+    }
+    trace::Trace out;
+    auto report = load(withU64(base, kPcCountOffset, 16384), out);
+    EXPECT_EQ(report.status, trace::LoadStatus::Truncated);
+    expectCacheRegenerates(withU64(base, kPcCountOffset, 16385));
+}
+
+TEST_F(TraceCorpus, PcIndexPastTheTableIsRejected)
+{
+    // Rewrite one record's PC index and re-checksum meta[], so only
+    // the index check stands between the file and an out-of-bounds
+    // table read.
+    auto withIndex = [&](std::uint32_t index) {
+        std::string bytes = base;
+        const std::size_t at = metaOffset + 4 * 37;
+        std::uint32_t meta;
+        std::memcpy(&meta, bytes.data() + at, 4);
+        meta = (meta & 0x3ffffu) | (index << 18);
+        std::memcpy(bytes.data() + at, &meta, 4);
+        const std::uint64_t sum = fnv1a64(bytes.data() + metaOffset,
+                                          4 * original.size());
+        return withU64(bytes, kChecksumOffset + 16, sum);
+    };
+    for (std::uint32_t index : {7u, 8u, 16383u}) {
+        SCOPED_TRACE(index);
+        trace::Trace out;
+        auto report = load(withIndex(index), out);
+        EXPECT_EQ(report.status, trace::LoadStatus::BadPcIndex);
+        EXPECT_EQ(report.offset, metaOffset);
+        EXPECT_TRUE(report.corrupt());
+        EXPECT_TRUE(out.empty());
+    }
+    // The last table entry is in bounds: the check is exact.
+    trace::Trace out;
+    ASSERT_TRUE(load(withIndex(6), out).ok());
+    EXPECT_EQ(out[37].pc, original.pcTable()[6]);
+    expectCacheRegenerates(withIndex(7));
+}
+
+TEST_F(TraceCorpus, EachArrayChecksumIsVerified)
+{
+    // A flipped checksum byte fails its own array, at that array's
+    // offset: pc[], addr[], meta[] in file order.
+    const std::size_t offsets[3] = {
+        kHeaderBytes, kHeaderBytes + 8 * original.pcCount(),
+        metaOffset};
+    for (int a = 0; a < 3; ++a) {
+        SCOPED_TRACE(a);
+        std::string bytes = base;
+        bytes[kChecksumOffset + 8 * a + 3] ^= 0x20;
+        trace::Trace out;
+        auto report = load(bytes, out);
+        EXPECT_EQ(report.status, trace::LoadStatus::ChecksumMismatch);
+        EXPECT_EQ(report.offset, offsets[a]);
+        EXPECT_TRUE(out.empty());
+        expectCacheRegenerates(bytes);
     }
 }
 

@@ -142,5 +142,23 @@ TEST(Runner, TrafficNormAboveOneWithPrefetching)
     EXPECT_GE(r.trafficNorm("omnetpp", tri), 0.99);
 }
 
+TEST(Runner, ResidentTraceBytesAreTwelvePerRecordPlusPcTables)
+{
+    Runner r(SystemConfig::table1(), 5000);
+    EXPECT_EQ(r.residentTraceBytes(), 0u);
+    std::size_t records = 0, pcs = 0;
+    for (const char *w : {"mcf", "pagerank_100000_100"}) {
+        const trace::Trace &t = r.traceFor(w);
+        records += t.size();
+        pcs += t.pcCount();
+    }
+    EXPECT_GE(records, 10000u);
+    EXPECT_GT(pcs, 0u);
+    EXPECT_LE(pcs, 16u);
+    // addr[] and meta[] per record, one PC per table entry: no
+    // pc[] or line-address column.
+    EXPECT_EQ(r.residentTraceBytes(), 12 * records + 8 * pcs);
+}
+
 } // anonymous namespace
 } // namespace prophet::sim

@@ -155,7 +155,7 @@ TEST_F(TraceCacheTest, TruncatedFileFallsBackToRegeneration)
     EXPECT_TRUE(out.empty());
 }
 
-TEST_F(TraceCacheTest, StoresWriteTheV3ChecksummedFormat)
+TEST_F(TraceCacheTest, StoresWriteTheV4ChecksummedFormat)
 {
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();
@@ -166,22 +166,22 @@ TEST_F(TraceCacheTest, StoresWriteTheV3ChecksummedFormat)
     Trace loaded;
     ASSERT_TRUE(loadBinary(loaded, cache.path("mcf", kRecords),
                            report));
-    EXPECT_EQ(report.version, kTraceFormatV3);
+    EXPECT_EQ(report.version, kTraceFormatVersion);
     expectTraceEq(fresh, loaded);
     auto entries = cache.entries();
     ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].version, kTraceFormatV3);
+    EXPECT_EQ(entries[0].version, kTraceFormatVersion);
 }
 
-TEST_F(TraceCacheTest, RetiredFormatEntryMissesAndIsRegeneratedAsV3)
+TEST_F(TraceCacheTest, RetiredFormatEntryMissesAndIsRegeneratedAsV4)
 {
     // The cache holds derived data, so an entry in a retired format
-    // (v1 packed records, v2 unchecksummed arrays) is not read: its
-    // header is bad, the entry is quarantined, and the Runner
-    // regenerates and stores it as v3.
+    // (v1 packed records, v2 unchecksummed arrays, v3 with a pc[]
+    // column) is not read: its header is bad, the entry is
+    // quarantined, and the Runner regenerates and stores it as v4.
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();
-    for (std::uint32_t version : {1u, 2u}) {
+    for (std::uint32_t version : {1u, 2u, 3u}) {
         SCOPED_TRACE(version);
         fs::remove_all(dir);
         fs::create_directories(dir);
@@ -189,13 +189,16 @@ TEST_F(TraceCacheTest, RetiredFormatEntryMissesAndIsRegeneratedAsV3)
         auto path = cache->path("mcf", kRecords);
         {
             // Header bytes by hand: magic, version, record count,
-            // then a payload of the size the old format implied.
+            // then a payload of the size the old format implied
+            // (v3 adds three checksums).
             const std::uint64_t count = kRecords;
             std::ofstream f(path, std::ios::binary);
             f.write("PTRC", 4);
             f.write(reinterpret_cast<const char *>(&version), 4);
             f.write(reinterpret_cast<const char *>(&count), 8);
-            f << std::string(count * (version == 1 ? 24 : 20), '\0');
+            f << std::string((version == 3 ? 24 : 0)
+                                 + count * (version == 1 ? 24 : 20),
+                             '\0');
         }
         ASSERT_EQ(cache->entries().at(0).version, version);
 
@@ -213,7 +216,7 @@ TEST_F(TraceCacheTest, RetiredFormatEntryMissesAndIsRegeneratedAsV3)
         expectTraceEq(fresh, runner.traceFor("mcf"));
         EXPECT_EQ(cache->stats().stores, 1u);
         ASSERT_EQ(cache->entries().size(), 1u);
-        EXPECT_EQ(cache->entries()[0].version, kTraceFormatV3);
+        EXPECT_EQ(cache->entries()[0].version, kTraceFormatVersion);
         ASSERT_TRUE(cache->load("mcf", kRecords, out));
         expectTraceEq(fresh, out);
     }
@@ -234,10 +237,10 @@ TEST_F(TraceCacheTest, BitFlippedEntryIsQuarantinedThenRegenerated)
         std::fstream f(path,
                        std::ios::binary | std::ios::in
                            | std::ios::out);
-        f.seekg(16 + 24 + 100);
+        f.seekg(48 + 100);
         char c = 0;
         f.get(c);
-        f.seekp(16 + 24 + 100);
+        f.seekp(48 + 100);
         f.put(static_cast<char>(c ^ 0x04));
     }
 
