@@ -142,6 +142,8 @@ class ProphetPrefetcher : public pf::TemporalPrefetcher
     pf::MarkovTable table;
     pf::TrainingUnit trainer;
     MultiPathVictimBuffer mvb;
+    /** MVB lookup results, reused so an MVB hit never allocates. */
+    std::vector<Addr> mvbTargets;
     ProfileCollector profileData;
     bool temporalOff = false;
 

@@ -182,23 +182,8 @@ Eviction
 Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
             bool dirty)
 {
+    // No probe for line_addr: the caller has just missed it here.
     unsigned set = setIndex(line_addr);
-    int existing = findWay(set, line_addr);
-    if (existing >= 0) {
-        // Refill of a present line: merge state. An in-flight line
-        // refilled with an earlier ready time takes that earlier
-        // time, otherwise late-prefetch hits would keep paying the
-        // stale later timestamp.
-        std::size_t idx =
-            lineIndex(set, static_cast<unsigned>(existing));
-        if (dirty)
-            flags[idx] |= kFlagDirty;
-        if (ready_at < cold[idx].readyAt)
-            cold[idx].readyAt = ready_at;
-        repl->touch(set, static_cast<unsigned>(existing));
-        return Eviction{};
-    }
-
     ++statsData.fills;
 
     // Prefer an invalid way in the demand partition.
@@ -242,13 +227,15 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
     return ev;
 }
 
-void
+bool
 Cache::markDirty(Addr line_addr)
 {
     unsigned set = setIndex(line_addr);
     int way = findWay(set, line_addr);
-    if (way >= 0)
-        flags[lineIndex(set, static_cast<unsigned>(way))] |= kFlagDirty;
+    if (way < 0)
+        return false;
+    flags[lineIndex(set, static_cast<unsigned>(way))] |= kFlagDirty;
+    return true;
 }
 
 Eviction

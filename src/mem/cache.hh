@@ -104,9 +104,13 @@ class Cache
     LookupResult lookupPrefetch(Addr line_addr, Cycle cycle);
 
     /**
-     * Install a line.
+     * Install a line that this cache does not hold. The line is not
+     * probed for: the hierarchy fills a level only right after that
+     * level missed it (lookupDemand/lookupPrefetch missed, or
+     * contains() was false), and what runs in between only marks
+     * lines dirty. Filling a present line would hold it twice.
      *
-     * @param line_addr Line address to fill.
+     * @param line_addr Line address to fill (absent from the cache).
      * @param ready_at Cycle the data arrives.
      * @param pf_class Prefetcher class that triggered the fill
      *        (PfClass::None for demand fills).
@@ -117,8 +121,11 @@ class Cache
     Eviction fill(Addr line_addr, Cycle ready_at, PfClass pf_class,
                   PC pf_pc, bool dirty);
 
-    /** Mark an existing line dirty (store hit / writeback merge). */
-    void markDirty(Addr line_addr);
+    /**
+     * Mark a line dirty if present (store hit / writeback merge).
+     * @return Whether the line was present.
+     */
+    bool markDirty(Addr line_addr);
 
     /** Invalidate a line if present; returns its eviction record. */
     Eviction invalidate(Addr line_addr);

@@ -49,9 +49,11 @@ class ReplacementPolicy
 
     /**
      * Choose a victim among the candidate ways of a set. The
-     * candidate span is never empty; all candidates hold valid lines.
-     * Implementations must not allocate (this sits on the per-miss
-     * eviction path).
+     * candidate span is never empty, lists distinct ways in ascending
+     * order (every caller builds it that way: the cache passes its
+     * demand-way suffix, the metadata table a filtered 0..assoc-1
+     * scan), and all candidates hold valid lines. Implementations
+     * must not allocate (this sits on the per-miss eviction path).
      */
     virtual unsigned victim(unsigned set, const unsigned *cands,
                             unsigned n) = 0;
@@ -76,11 +78,28 @@ class ReplacementPolicy
     virtual std::string name() const = 0;
 };
 
-/** True least-recently-used via per-line timestamps. */
+/**
+ * True least-recently-used. Sets of up to 16 ways (the LLC, and the
+ * L1/L2 tree-PLRU fallback) keep their recency order packed in one
+ * 64-bit word: nibble r holds the way at recency rank r, rank 0 (bits
+ * 0-3) the least recently used. touch() moves a way's nibble to the
+ * top and victim() picks the lowest-ranked candidate, each a few
+ * SWAR (SIMD-within-a-register) operations on that one word. Wider
+ * sets keep one 64-bit timestamp per line.
+ *
+ * Both forms choose the same victims. Never-touched ways tie at the
+ * oldest timestamp, and the first (lowest) such candidate wins; the
+ * packed order starts as ways 0..assoc-1 from rank 0 up and a touch
+ * only lifts one way to the top, so never-touched ways stay below
+ * every touched one, in ascending way order.
+ */
 class LruPolicy : public ReplacementPolicy
 {
   public:
     using ReplacementPolicy::victim;
+
+    /** Widest set kept in the packed form. */
+    static constexpr unsigned kMaxPackedWays = 16;
 
     void reset(unsigned num_sets, unsigned assoc) override;
     void touch(unsigned set, unsigned way) override;
@@ -90,8 +109,13 @@ class LruPolicy : public ReplacementPolicy
     std::string name() const override { return "LRU"; }
 
   private:
-    std::uint64_t clock = 0;
     unsigned numWays = 0;
+    /** Packed form: one recency-order word per set. */
+    std::vector<std::uint64_t> order;
+    /** Bit 4r set for every rank r < numWays. */
+    std::uint64_t rankBits = 0;
+    /** Timestamp form, for sets wider than kMaxPackedWays. */
+    std::uint64_t clock = 0;
     std::vector<std::uint64_t> stamps;
 };
 

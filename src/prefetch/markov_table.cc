@@ -17,9 +17,9 @@ MarkovTable::MarkovTable(unsigned num_sets, unsigned max_ways,
                          std::unique_ptr<mem::ReplacementPolicy> policy)
     : numSets(num_sets), maxWays(max_ways), curWays(max_ways),
       fps(static_cast<std::size_t>(num_sets) * max_ways
-              * kEntriesPerLine,
-          fingerprint(kInvalidAddr)),
-      keys(fps.size(), kInvalidAddr),
+              * kEntriesPerLine
+          + kFpPadding),
+      keys(fps.size() - kFpPadding, kInvalidAddr),
       targets(keys.size(), kInvalidAddr),
       priorities(keys.size(), 0),
       setValid(num_sets, 0),
@@ -39,64 +39,44 @@ MarkovTable::findWay(unsigned set, Addr key) const
 {
     // Scan fingerprints; verify a hit against the full key (keys are
     // unique within a set, so the first verified match is the only
-    // one). Invalid slots hold kInvalidAddr in the key array and can
-    // never verify against a real key.
+    // one).
     //
     // The scan is bounded by the set's valid prefix: inserts always
     // fill the lowest invalid slot, replacements refill their victim
     // slot in place, and resizes drop only the tail beyond the new
     // capacity, so valid entries occupy exactly ways
-    // [0, setValid[set]). Slots past the prefix hold kInvalidAddr
-    // keys and can never verify, so skipping them loses no match —
-    // and a partially trained 96-way set scans only what it holds.
-    const std::uint32_t fp = fingerprint(key);
+    // [0, setValid[set]). Slots past the prefix hold no entry, so
+    // skipping them loses no match — and a partially trained 96-way
+    // set scans only what it holds.
+    const std::uint8_t fp = fingerprint(key);
     const std::size_t base = slotIndex(set, 0);
-    const std::uint32_t *f = fps.data() + base;
+    const std::uint8_t *f = fps.data() + base;
     const Addr *k = keys.data() + base;
     const unsigned limit = setValid[set];
-    // The first few metadata lines scan scalar: trained lookups
-    // mostly resolve early (slots fill lowest-first), and for the
-    // short scans of a resized-down table the early exit beats
-    // vector setup outright. Only the long tail of a near-full
-    // 96-way set is worth vectorizing.
-    constexpr unsigned kScalarHead = 3 * kEntriesPerLine;
-    const unsigned head = std::min(limit, kScalarHead);
-    for (unsigned w = 0; w < head; ++w) {
-        if (f[w] == fp && k[w] == key)
-            return static_cast<int>(w);
-    }
 #if defined(__SSE2__)
-    static_assert(kEntriesPerLine == 12,
-                  "chunked scan assumes 12 fingerprints per line");
-    // Remaining lines chunk-at-a-time: each 12-entry chunk is
-    // reduced to an any-match flag with three SSE2 compares, and
-    // only a chunk whose flag fires is rescanned scalar. Chunks are
-    // visited in order and rescans resolve in order, so the result
-    // is the same first match the scalar loop produces. A chunk may
-    // read a few slots past `limit` (never past the allocation);
-    // their invalid keys cannot verify.
-    const __m128i vfp = _mm_set1_epi32(static_cast<int>(fp));
-    for (unsigned w = kScalarHead; w < limit;
-         w += kEntriesPerLine) {
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(f + w));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(f + w + 4));
-        const __m128i c = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(f + w + 8));
-        const __m128i hit = _mm_or_si128(
-            _mm_or_si128(_mm_cmpeq_epi32(a, vfp),
-                         _mm_cmpeq_epi32(b, vfp)),
-            _mm_cmpeq_epi32(c, vfp));
-        if (_mm_movemask_epi8(hit)) {
-            for (unsigned j = 0; j < kEntriesPerLine; ++j) {
-                if (f[w + j] == fp && k[w + j] == key)
-                    return static_cast<int>(w + j);
-            }
+    // Sixteen ways per compare. Matches resolve in ascending way
+    // order, so the result is the first match the scalar loop finds.
+    // The last chunk's load may run past `limit` (into the next set
+    // or the padding); its bits beyond `limit` are masked off.
+    const __m128i vfp = _mm_set1_epi8(static_cast<char>(fp));
+    for (unsigned w = 0; w < limit; w += 16) {
+        unsigned m = static_cast<unsigned>(_mm_movemask_epi8(
+            _mm_cmpeq_epi8(
+                _mm_loadu_si128(
+                    reinterpret_cast<const __m128i *>(f + w)),
+                vfp)));
+        if (limit - w < 16)
+            m &= (1u << (limit - w)) - 1;
+        while (m) {
+            const unsigned way =
+                w + static_cast<unsigned>(__builtin_ctz(m));
+            if (k[way] == key)
+                return static_cast<int>(way);
+            m &= m - 1;
         }
     }
 #else
-    for (unsigned w = head; w < limit; ++w) {
+    for (unsigned w = 0; w < limit; ++w) {
         if (f[w] == fp && k[w] == key)
             return static_cast<int>(w);
     }
@@ -210,7 +190,6 @@ MarkovTable::insert(Addr key, Addr target, std::uint8_t priority)
             evictionCb(Entry{keys[vidx], targets[vidx],
                              priorities[vidx], true});
         keys[vidx] = kInvalidAddr;
-        fps[vidx] = fingerprint(kInvalidAddr);
         --validCount;
         --setValid[set];
         slot = static_cast<int>(victim);
@@ -239,7 +218,6 @@ MarkovTable::setAllocatedWays(unsigned ways)
                 std::size_t idx = slotIndex(set, w);
                 if (keys[idx] != kInvalidAddr) {
                     keys[idx] = kInvalidAddr;
-                    fps[idx] = fingerprint(kInvalidAddr);
                     --validCount;
                     --setValid[set];
                     ++statsData.resizeDrops;
@@ -255,7 +233,6 @@ void
 MarkovTable::clear()
 {
     std::fill(keys.begin(), keys.end(), kInvalidAddr);
-    std::fill(fps.begin(), fps.end(), fingerprint(kInvalidAddr));
     std::fill(setValid.begin(), setValid.end(), 0);
     validCount = 0;
     repl->reset(numSets, maxAssoc());

@@ -145,6 +145,19 @@ class MarkovTable
     std::optional<std::uint8_t> priorityOf(Addr key) const;
 
     /**
+     * The 8-bit scan fingerprint of a key (exposed for tests): the
+     * top byte of a multiplicative hash, so keys that share a set
+     * (and so agree in the bits setIndex mixes) still spread over
+     * all 256 values.
+     */
+    static std::uint8_t
+    fingerprint(Addr key)
+    {
+        return static_cast<std::uint8_t>(
+            (key * 0x9e3779b97f4a7c15ULL) >> 56);
+    }
+
+    /**
      * Warm the fingerprint scan array of @p key's set ahead of an
      * upcoming lookup/insert (the record loop's lookahead). Pure
      * software prefetch: no replacement or statistics update, so
@@ -158,17 +171,16 @@ class MarkovTable
         const unsigned set = setIndex(key);
         // Valid entries are a contiguous prefix (see findWay), so
         // only the lines the scan and the hit path can actually
-        // touch are warmed: the fingerprint span (16 per 64 B line)
-        // and the successor span (8 per line) up to the valid count.
+        // touch are warmed: the fingerprint span (at most 96 B, two
+        // host lines) and the successor span (8 per line) up to the
+        // valid count.
         const unsigned limit = setValid[set];
         if (limit == 0)
             return;
         const std::size_t base = slotIndex(set, 0);
-        constexpr unsigned kFpsPerLine =
-            kLineSize / sizeof(std::uint32_t);
-        const std::uint32_t *f = fps.data() + base;
-        for (unsigned w = 0; w < limit; w += kFpsPerLine)
-            prefetchRead(f + w);
+        const std::uint8_t *f = fps.data() + base;
+        prefetchRead(f);
+        prefetchRead(f + limit - 1);
         constexpr unsigned kTargetsPerLine = kLineSize / sizeof(Addr);
         const Addr *tg = targets.data() + base;
         for (unsigned w = 0; w < limit; w += kTargetsPerLine)
@@ -184,18 +196,20 @@ class MarkovTable
 
     /**
      * Entry state, structure-of-arrays: the per-access findWay scan
-     * reads a dense array of 32-bit key fingerprints (one 64 B line
-     * covers 16 candidate ways); only a fingerprint hit is verified
-     * against the full key array, so the common all-miss scan of a
-     * 96-way set touches 6 lines instead of the 24 the old
-     * array-of-structs layout dragged through the cache. Targets and
-     * priorities sit in side arrays touched only after a verified
-     * match. kInvalidAddr in the full-key array marks an invalid
-     * slot (keys are line addresses, which never collide with the
-     * all-ones sentinel); its fingerprint may collide with a real
-     * key's, which the full-key verification rejects.
+     * reads a dense array of 8-bit key fingerprints, 16 candidate
+     * ways per SSE2 compare, so the common all-miss scan of a full
+     * 96-way set reads 96 B (two host lines) instead of the 768 B of
+     * its keys. Only a fingerprint match is verified against the
+     * full key array (a miss meets about 96/256 false matches).
+     * Targets and priorities sit in side arrays touched only after a
+     * verified match. kInvalidAddr in the full-key array marks an
+     * invalid slot (keys are line addresses, which never collide with
+     * the all-ones sentinel). Fingerprints of slots past a set's
+     * valid prefix are stale and never read; `fps` carries
+     * kFpPadding spare bytes so the last set's final 16-byte load
+     * stays inside the allocation.
      */
-    std::vector<std::uint32_t> fps;
+    std::vector<std::uint8_t> fps;
     std::vector<Addr> keys;
     std::vector<Addr> targets;
     std::vector<std::uint8_t> priorities;
@@ -207,12 +221,8 @@ class MarkovTable
      */
     std::vector<std::uint16_t> setValid;
 
-    /** 32-bit fold of a key for the scan array. */
-    static std::uint32_t
-    fingerprint(Addr key)
-    {
-        return static_cast<std::uint32_t>(key ^ (key >> 32));
-    }
+    /** Bytes past the last set that a 16-way scan load may cover. */
+    static constexpr unsigned kFpPadding = 15;
 
     /**
      * Scratch candidate buffer for victim selection, sized maxAssoc()

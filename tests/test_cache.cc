@@ -158,44 +158,6 @@ TEST(Cache, UnusedPrefetchEvictionCounted)
     EXPECT_EQ(c.stats().unusedPrefetchEvictions, 1u);
 }
 
-TEST(Cache, RefillMergesDirtyState)
-{
-    Cache c(smallConfig());
-    c.fill(3, 0, PfClass::None, kInvalidPC, false);
-    c.fill(3, 0, PfClass::None, kInvalidPC, true);
-    for (Addr a = 3 + 16; a <= 3 + 64; a += 16)
-        c.fill(a, 0, PfClass::None, kInvalidPC, false);
-    // Line 3 must have been evicted dirty.
-    EXPECT_EQ(c.stats().writebacks, 1u);
-}
-
-TEST(Cache, RefillMergesEarlierReadyTime)
-{
-    Cache c(smallConfig());
-    // A prefetch lands the line at cycle 100; a second (e.g. demand)
-    // fill of the same line arrives earlier, at cycle 50. The line
-    // must take the earlier ready time, or demands between 50 and
-    // 100 would keep paying the stale later timestamp.
-    c.fill(5, 100, PfClass::L2, 0x400, false);
-    c.fill(5, 50, PfClass::None, kInvalidPC, false);
-    auto r = c.lookupDemand(5, 60);
-    EXPECT_TRUE(r.hit);
-    EXPECT_FALSE(r.wasLate);
-    EXPECT_EQ(r.readyAt, 62u); // cycle + hit latency
-}
-
-TEST(Cache, RefillNeverDelaysReadyTime)
-{
-    Cache c(smallConfig());
-    // The merge is one-directional: a refill with a *later* ready
-    // time must not push back a line already (about to be) present.
-    c.fill(5, 50, PfClass::None, kInvalidPC, false);
-    c.fill(5, 100, PfClass::L2, 0x400, false);
-    auto r = c.lookupDemand(5, 60);
-    EXPECT_TRUE(r.hit);
-    EXPECT_FALSE(r.wasLate);
-}
-
 TEST(Cache, SteadyStateMissPathDoesNotAllocate)
 {
     for (const char *policy : {"lru", "plru", "srrip", "random"}) {

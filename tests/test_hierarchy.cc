@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
 #include "mem/hierarchy.hh"
 
 namespace prophet::mem
@@ -163,6 +167,111 @@ TEST(Hierarchy, ResetStatsClearsAllLevels)
     EXPECT_EQ(h.l1().stats().demandMisses, 0u);
     EXPECT_EQ(h.dram().stats().reads, 0u);
     EXPECT_EQ(h.l2PrefetchesIssued(), 0u);
+}
+
+/** One call of a random hierarchy replay. */
+struct ReplayOp
+{
+    enum Kind { Access, PrefetchL1, PrefetchL2, Reserve } kind;
+    Addr line;
+    bool write;
+    unsigned reserve;
+};
+
+/**
+ * Lines copied out of @p c, one invalidate() per copy: more than one
+ * copy of any line in @p universe means a fill installed a line the
+ * level already held.
+ */
+unsigned
+maxCopies(Cache &c, Addr universe)
+{
+    unsigned worst = 0;
+    for (Addr line = 0; line < universe; ++line) {
+        unsigned copies = 0;
+        while (c.invalidate(line).valid)
+            ++copies;
+        worst = std::max(worst, copies);
+    }
+    return worst;
+}
+
+TEST(Hierarchy, RandomReplayNeverHoldsALineTwice)
+{
+    // Fill skips the "already present?" probe: the hierarchy only
+    // fills a level right after that level missed. Replay random
+    // demand loads and stores, L1 and L2 prefetches and LLC
+    // partition changes over caches small enough that evictions
+    // and dirty writebacks happen throughout, and after every call
+    // count each line's copies at every level. Counting is
+    // destructive, so each prefix is replayed on a fresh hierarchy.
+    HierarchyConfig cfg;
+    cfg.l1d = {"L1D", 1024, 4, 2, 8, "plru"};      // 4 sets
+    cfg.l2 = {"L2", 4 * 1024, 8, 9, 8, "plru"};    // 8 sets
+    cfg.llc = {"LLC", 16 * 1024, 16, 20, 8, "lru"}; // 16 sets
+    cfg.dram = DramConfig{150, 8, 1};
+    constexpr Addr kUniverse = 512; // twice the LLC's lines
+
+    Rng rng(11);
+    std::vector<ReplayOp> ops;
+    for (int i = 0; i < 1500; ++i) {
+        ReplayOp op{};
+        // Half the calls go to 48 hot lines, so levels hit as well
+        // as miss.
+        op.line = rng.chance(0.5) ? rng.below(48) : rng.below(kUniverse);
+        const std::uint64_t k = rng.below(100);
+        if (k < 2)
+            op.kind = ReplayOp::Reserve;
+        else if (k < 60)
+            op.kind = ReplayOp::Access;
+        else if (k < 80)
+            op.kind = ReplayOp::PrefetchL1;
+        else
+            op.kind = ReplayOp::PrefetchL2;
+        op.write = rng.chance(0.3);
+        op.reserve = static_cast<unsigned>(rng.below(3)) * 4;
+        ops.push_back(op);
+    }
+
+    auto replay = [&](Hierarchy &h, std::size_t n) {
+        Cycle cycle = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const ReplayOp &op = ops[i];
+            cycle += 1 + op.line % 16;
+            switch (op.kind) {
+              case ReplayOp::Access:
+                h.access(0x400, op.line << kLineShift, op.write, cycle);
+                break;
+              case ReplayOp::PrefetchL1:
+                h.prefetchL1(0x404, op.line, cycle);
+                break;
+              case ReplayOp::PrefetchL2:
+                h.prefetchL2(0x408, op.line, cycle);
+                break;
+              case ReplayOp::Reserve:
+                h.llc().setReservedWays(op.reserve);
+                break;
+            }
+        }
+    };
+
+    for (std::size_t n = 1; n <= ops.size(); ++n) {
+        Hierarchy h(cfg);
+        replay(h, n);
+        for (Cache *c : {&h.l1(), &h.l2(), &h.llc()})
+            ASSERT_LE(maxCopies(*c, kUniverse), 1u)
+                << c->name() << " after " << n << " calls";
+    }
+
+    // The replay reached the paths that install and evict lines.
+    Hierarchy h(cfg);
+    replay(h, ops.size());
+    EXPECT_GT(h.l1().stats().writebacks, 0u);
+    EXPECT_GT(h.l2().stats().writebacks, 0u);
+    EXPECT_GT(h.llc().stats().writebacks, 0u);
+    EXPECT_GT(h.dram().stats().writes, 0u);
+    EXPECT_GT(h.l2().stats().demandHits, 0u);
+    EXPECT_GT(h.llc().stats().demandHits, 0u);
 }
 
 } // anonymous namespace

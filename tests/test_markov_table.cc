@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "mem/replacement.hh"
@@ -214,6 +215,95 @@ TEST(MarkovTable, ChainsComposable)
         cur = *n;
     }
     EXPECT_EQ(chain, (std::vector<Addr>{20, 30, 40}));
+}
+
+/** @p n distinct line addresses that share @p key's fingerprint. */
+std::vector<Addr>
+keysSharingFingerprint(Addr key, std::size_t n)
+{
+    const std::uint8_t fp = MarkovTable::fingerprint(key);
+    std::vector<Addr> keys;
+    for (Addr k = key; keys.size() < n; ++k)
+        if (MarkovTable::fingerprint(k) == fp)
+            keys.push_back(k);
+    return keys;
+}
+
+TEST(MarkovTable, ColludingFingerprintsResolveOnFullKeys)
+{
+    // One 96-way set whose keys all share one fingerprint: every
+    // probe matches every slot's fingerprint, so only the full-key
+    // check tells them apart.
+    std::vector<Addr> keys = keysSharingFingerprint(0x12345, 200);
+    MarkovTable t(1, 8, std::make_unique<mem::LruPolicy>());
+    ASSERT_EQ(t.capacityEntries(), 96u);
+    for (std::size_t i = 0; i < 96; ++i)
+        t.insert(keys[i], 1000 + i, static_cast<std::uint8_t>(i % 4));
+    EXPECT_EQ(t.size(), 96u);
+    EXPECT_EQ(t.stats().replacements, 0u);
+    for (std::size_t i = 0; i < 96; ++i) {
+        EXPECT_EQ(t.peek(keys[i]), std::optional<Addr>(1000 + i));
+        EXPECT_EQ(t.priorityOf(keys[i]),
+                  std::optional<std::uint8_t>(i % 4));
+    }
+    // Absent keys with the same fingerprint miss.
+    for (std::size_t i = 96; i < 200; ++i) {
+        EXPECT_FALSE(t.lookup(keys[i]).has_value());
+        EXPECT_FALSE(t.priorityOf(keys[i]).has_value());
+    }
+
+    // A hit overwrites only its own target.
+    t.insert(keys[50], 7, 3);
+    EXPECT_EQ(t.stats().updates, 1u);
+    EXPECT_EQ(t.peek(keys[50]), std::optional<Addr>(7));
+    EXPECT_EQ(t.peek(keys[49]), std::optional<Addr>(1049));
+    EXPECT_EQ(t.peek(keys[51]), std::optional<Addr>(1051));
+
+    // Refresh all but keys[10..19]; each new key then replaces the
+    // least recently used of those, in insertion order.
+    for (std::size_t i = 0; i < 96; ++i)
+        if (i < 10 || i >= 20)
+            t.lookup(keys[i]);
+    std::vector<Addr> evicted;
+    t.setEvictionCallback([&](const MarkovTable::Entry &e) {
+        evicted.push_back(e.key);
+    });
+    for (std::size_t i = 96; i < 106; ++i)
+        t.insert(keys[i], 1000 + i, 0);
+    ASSERT_EQ(evicted.size(), 10u);
+    for (std::size_t i = 0; i < 10; ++i)
+        EXPECT_EQ(evicted[i], keys[10 + i]);
+    for (std::size_t i = 0; i < 106; ++i) {
+        const bool gone = i >= 10 && i < 20;
+        EXPECT_EQ(t.peek(keys[i]).has_value(), !gone) << i;
+        if (!gone && i != 50)
+            EXPECT_EQ(*t.peek(keys[i]), 1000 + i) << i;
+    }
+}
+
+TEST(MarkovTable, LastSetScanStaysInsideTheTable)
+{
+    // Sets of 12 and 24 ways end off a 16-byte scan boundary, so the
+    // last set's final scan load reaches past its fingerprints (the
+    // sanitizer build checks it stays inside the allocation). Fill
+    // every set, including the last, and read every key back.
+    for (unsigned ways : {1u, 2u}) {
+        MarkovTable t(4, ways, std::make_unique<mem::SrripPolicy>());
+        std::vector<Addr> keys;
+        for (Addr k = 0x4000; t.size() < t.capacityEntries(); k += 64) {
+            t.insert(k, k + 1, 0);
+            keys.push_back(k);
+        }
+        std::size_t present = 0;
+        for (Addr k : keys) {
+            if (auto target = t.lookup(k)) {
+                EXPECT_EQ(*target, k + 1);
+                ++present;
+            }
+        }
+        EXPECT_EQ(present, t.capacityEntries());
+        EXPECT_FALSE(t.lookup(0x3fc0).has_value());
+    }
 }
 
 } // anonymous namespace

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <type_traits>
 
+#include "common/rng.hh"
 #include "mem/replacement.hh"
 
 namespace prophet::mem
@@ -275,6 +278,240 @@ TEST_P(PolicyProperty, HitPromotionReducesEviction)
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
                          ::testing::Values("lru", "plru", "srrip",
                                            "brrip", "random"));
+
+/**
+ * Timestamp LRU, the form LruPolicy keeps for sets wider than 16
+ * ways: the reference its packed form must match victim for victim.
+ */
+class StampLru
+{
+  public:
+    void
+    reset(unsigned num_sets, unsigned assoc)
+    {
+        ways = assoc;
+        clock = 0;
+        stamps.assign(static_cast<std::size_t>(num_sets) * assoc, 0);
+    }
+
+    void touch(unsigned set, unsigned way)
+    {
+        stamps[static_cast<std::size_t>(set) * ways + way] = ++clock;
+    }
+
+    unsigned
+    victim(unsigned set, const std::vector<unsigned> &cands) const
+    {
+        unsigned best = cands[0];
+        std::uint64_t best_stamp = ~std::uint64_t{0};
+        for (unsigned way : cands) {
+            std::uint64_t s =
+                stamps[static_cast<std::size_t>(set) * ways + way];
+            if (s < best_stamp) {
+                best_stamp = s;
+                best = way;
+            }
+        }
+        return best;
+    }
+
+  private:
+    unsigned ways = 0;
+    std::uint64_t clock = 0;
+    std::vector<std::uint64_t> stamps;
+};
+
+/**
+ * A random ascending candidate list: all ways, a suffix (the cache's
+ * demand partition) or a sparse subset (a priority-filtered metadata
+ * set).
+ */
+std::vector<unsigned>
+randomCandidates(Rng &rng, unsigned assoc)
+{
+    std::vector<unsigned> c;
+    switch (rng.below(3)) {
+      case 0:
+        return allWays(assoc);
+      case 1:
+        for (unsigned w = static_cast<unsigned>(rng.below(assoc));
+             w < assoc; ++w)
+            c.push_back(w);
+        return c;
+      default:
+        for (unsigned w = 0; w < assoc; ++w)
+            if (rng.chance(0.4))
+                c.push_back(w);
+        if (c.empty())
+            c.push_back(static_cast<unsigned>(rng.below(assoc)));
+        return c;
+    }
+}
+
+TEST(Lru, PackedSetsMatchTimestampLru)
+{
+    // Associativity 1-16 runs the packed form, 24 the timestamp one.
+    // Frequent resets and sparse touches keep many never-touched
+    // ways around, so victims often break ties among them.
+    std::vector<unsigned> assocs(16);
+    std::iota(assocs.begin(), assocs.end(), 1u);
+    assocs.push_back(24);
+    Rng rng(17);
+    constexpr unsigned kSets = 4;
+    for (unsigned assoc : assocs) {
+        LruPolicy lru;
+        StampLru ref;
+        lru.reset(kSets, assoc);
+        ref.reset(kSets, assoc);
+        for (int op = 0; op < 20000; ++op) {
+            const auto set = static_cast<unsigned>(rng.below(kSets));
+            const std::uint64_t kind = rng.below(100);
+            if (kind == 0) {
+                lru.reset(kSets, assoc);
+                ref.reset(kSets, assoc);
+            } else if (kind < 45) {
+                const auto way = static_cast<unsigned>(rng.below(assoc));
+                if (kind & 1)
+                    lru.touch(set, way);
+                else
+                    lru.insert(set, way);
+                ref.touch(set, way);
+            } else {
+                const std::vector<unsigned> cands =
+                    randomCandidates(rng, assoc);
+                ASSERT_EQ(lru.victim(set, cands), ref.victim(set, cands))
+                    << "assoc " << assoc << " op " << op;
+            }
+        }
+    }
+}
+
+TEST(Lru, NeverTouchedWaysTieToTheLowestCandidate)
+{
+    LruPolicy lru;
+    lru.reset(1, 16);
+    EXPECT_EQ(lru.victim(0, allWays(16)), 0u);
+    lru.touch(0, 0);
+    lru.touch(0, 9);
+    EXPECT_EQ(lru.victim(0, allWays(16)), 1u);
+    EXPECT_EQ(lru.victim(0, {8, 9, 10, 11, 12, 13, 14, 15}), 8u);
+    EXPECT_EQ(lru.victim(0, {0, 9, 12}), 12u);
+    EXPECT_EQ(lru.victim(0, {0, 9}), 0u); // 0 touched before 9
+}
+
+/**
+ * The RRIP victim loop as it was before the two-pass form: rescan
+ * for a candidate at maxRrpv, aging every candidate by one per
+ * round. Kept as the reference the policies must match.
+ */
+class AgingLoopRrip
+{
+  public:
+    AgingLoopRrip(std::uint8_t max_rrpv, bool bimodal)
+        : maxRrpv(max_rrpv), bimodal(bimodal), rng(0xb1e55edULL)
+    {}
+
+    void
+    reset(unsigned num_sets, unsigned assoc)
+    {
+        ways = assoc;
+        rrpvs.assign(static_cast<std::size_t>(num_sets) * assoc,
+                     maxRrpv);
+    }
+
+    void touch(unsigned set, unsigned way) { at(set, way) = 0; }
+
+    void
+    insert(unsigned set, unsigned way)
+    {
+        // BrripPolicy's draw: distant (maxRrpv - 1) with probability
+        // 1/32, else maxRrpv.
+        bool long_rrpv = bimodal && !rng.chance(1.0 / 32.0);
+        at(set, way) =
+            static_cast<std::uint8_t>(long_rrpv ? maxRrpv : maxRrpv - 1);
+    }
+
+    unsigned
+    victim(unsigned set, const std::vector<unsigned> &cands)
+    {
+        for (;;) {
+            for (unsigned way : cands)
+                if (at(set, way) >= maxRrpv)
+                    return way;
+            for (unsigned way : cands)
+                if (at(set, way) < maxRrpv)
+                    ++at(set, way);
+        }
+    }
+
+    std::uint8_t &
+    at(unsigned set, unsigned way)
+    {
+        return rrpvs[static_cast<std::size_t>(set) * ways + way];
+    }
+
+  private:
+    unsigned ways = 0;
+    std::uint8_t maxRrpv;
+    bool bimodal;
+    Rng rng;
+    std::vector<std::uint8_t> rrpvs;
+};
+
+/** Drive @p policy and @p ref with one random operation stream. */
+template <typename Policy>
+void
+expectSameAsAgingLoop(Policy &policy, AgingLoopRrip &ref, unsigned assoc)
+{
+    constexpr unsigned kSets = 4;
+    policy.reset(kSets, assoc);
+    ref.reset(kSets, assoc);
+    Rng rng(assoc * 31 + 5);
+    for (int op = 0; op < 20000; ++op) {
+        const auto set = static_cast<unsigned>(rng.below(kSets));
+        const auto way = static_cast<unsigned>(rng.below(assoc));
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 3) {
+            policy.touch(set, way);
+            ref.touch(set, way);
+        } else if (kind < 6) {
+            policy.insert(set, way);
+            ref.insert(set, way);
+        } else {
+            const std::vector<unsigned> cands =
+                randomCandidates(rng, assoc);
+            ASSERT_EQ(policy.victim(set, cands), ref.victim(set, cands))
+                << policy.name() << " assoc " << assoc << " op " << op;
+        }
+        // SRRIP exposes its RRPVs: the aged state must match too.
+        if constexpr (std::is_same_v<Policy, SrripPolicy>) {
+            for (unsigned w = 0; w < assoc; ++w)
+                ASSERT_EQ(policy.rrpv(set, w), ref.at(set, w))
+                    << "assoc " << assoc << " op " << op;
+        }
+    }
+}
+
+TEST(Srrip, TwoPassVictimMatchesAgingLoop)
+{
+    for (unsigned bits : {1u, 2u, 3u}) {
+        for (unsigned assoc : {1u, 4u, 16u, 96u}) {
+            SrripPolicy srrip(bits);
+            AgingLoopRrip ref(
+                static_cast<std::uint8_t>((1u << bits) - 1), false);
+            expectSameAsAgingLoop(srrip, ref, assoc);
+        }
+    }
+}
+
+TEST(Brrip, TwoPassVictimMatchesAgingLoop)
+{
+    for (unsigned assoc : {1u, 4u, 16u, 96u}) {
+        BrripPolicy brrip;
+        AgingLoopRrip ref(3, true);
+        expectSameAsAgingLoop(brrip, ref, assoc);
+    }
+}
 
 } // anonymous namespace
 } // namespace prophet::mem

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "sim/system.hh"
 #include "workloads/pattern_lib.hh"
@@ -88,33 +89,53 @@ namespace
  * prefetchers a pattern to issue on, while revisited lines produce
  * L1/L2 hits. The second trace half replays the same ring, so by the
  * time the first half has been stepped, every structure the loop
- * touches has reached its steady-state footprint.
+ * touches has reached its steady-state footprint. A nonzero
+ * @p mutation_rate re-links part of the ring after every traversal,
+ * so metadata targets get overwritten and the Multi-path Victim
+ * Buffer holds the old ones.
  */
 trace::Trace
-chaseTrace(std::size_t records)
+chaseTrace(std::size_t records, double mutation_rate)
 {
     workloads::StreamParams p;
     p.pc = 0x400000;
     p.regionBase = 1ull << 33;
     p.seed = 7;
-    workloads::ChaseStream stream(p, 20000, 0.0);
+    workloads::ChaseStream stream(p, 20000, mutation_rate);
     trace::Trace t;
     for (std::size_t i = 0; i < records; ++i)
         stream.emit(t);
     return t;
 }
 
-class WarmSystemStep : public ::testing::TestWithParam<L2PfKind>
+struct StepCase
+{
+    const char *name;
+    L2PfKind kind;
+    /**
+     * Prophet with a priority hint on the chase PC and a mutating
+     * ring. Unhinted entries have priority 0, and the MVB rejects
+     * their displaced targets, so only this case reaches the MVB's
+     * extra-target path.
+     */
+    bool hinted;
+};
+
+class WarmSystemStep : public ::testing::TestWithParam<StepCase>
 {
 };
 
 TEST_P(WarmSystemStep, WarmedInnerStepDoesNotAllocate)
 {
-    trace::Trace t = chaseTrace(150000);
+    const StepCase &param = GetParam();
+    trace::Trace t = chaseTrace(150000, param.hinted ? 0.1 : 0.0);
 
     SystemConfig cfg = SystemConfig::table1();
-    cfg.l2Pf = GetParam();
+    cfg.l2Pf = param.kind;
     cfg.warmupRecords = 0;
+    if (param.hinted)
+        ASSERT_TRUE(
+            cfg.binary.hints.install(0x400000, core::Hint{true, 1}));
 
     System sys(cfg);
     sys.beginRun(t.size() * 2);
@@ -125,6 +146,13 @@ TEST_P(WarmSystemStep, WarmedInnerStepDoesNotAllocate)
     std::size_t warm = 100000;
     for (std::size_t i = 0; i < warm; ++i)
         sys.step(t[i]);
+
+    auto mvbExtraTargets = [&]() -> std::uint64_t {
+        return sys.prophet()
+            ? sys.prophet()->victimBuffer().stats().extraTargets
+            : 0;
+    };
+    const std::uint64_t extra_before = mvbExtraTargets();
 
     // The measured window replays the same ring — L2 misses (the
     // ring exceeds L2 capacity) and prefetch issues (repeating
@@ -138,37 +166,34 @@ TEST_P(WarmSystemStep, WarmedInnerStepDoesNotAllocate)
     for (int i = 0; i < 64; ++i)
         sys.step(same);
     std::uint64_t during = g_heapAllocs.load() - before;
+    const std::uint64_t extra_targets = mvbExtraTargets() - extra_before;
 
     RunStats s = sys.finish();
     EXPECT_EQ(during, 0u)
-        << "warmed per-record step allocated on the "
-        << (cfg.l2Pf == L2PfKind::None ? "baseline" : "prefetcher")
+        << "warmed per-record step allocated on the " << param.name
         << " path";
 
     // Prove the window exercised the paths the satellite names.
     EXPECT_GT(s.l1Accesses, s.l1Misses); // L1 hits happened
     EXPECT_GT(s.l2DemandMisses, 0u);     // L2 misses happened
-    if (cfg.l2Pf != L2PfKind::None)
+    if (cfg.l2Pf != L2PfKind::None) {
         EXPECT_GT(s.l2PrefetchesIssued, 0u); // prefetch-issue path
+    }
+    if (param.hinted) {
+        EXPECT_GT(extra_targets, 0u); // the MVB supplied targets
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Pipelines, WarmSystemStep,
-    ::testing::Values(L2PfKind::None, L2PfKind::Triage,
-                      L2PfKind::Triangel, L2PfKind::Prophet),
-    [](const ::testing::TestParamInfo<L2PfKind> &info) {
-        switch (info.param) {
-          case L2PfKind::None:
-            return "none";
-          case L2PfKind::Triage:
-            return "triage";
-          case L2PfKind::Triangel:
-            return "triangel";
-          case L2PfKind::Prophet:
-            return "prophet";
-          default:
-            return "other";
-        }
+    ::testing::Values(StepCase{"none", L2PfKind::None, false},
+                      StepCase{"triage", L2PfKind::Triage, false},
+                      StepCase{"triangel", L2PfKind::Triangel, false},
+                      StepCase{"prophet", L2PfKind::Prophet, false},
+                      StepCase{"prophet_hinted", L2PfKind::Prophet,
+                               true}),
+    [](const ::testing::TestParamInfo<StepCase> &info) {
+        return std::string(info.param.name);
     });
 
 } // anonymous namespace
