@@ -177,8 +177,9 @@ class Cache
   private:
     /**
      * Line state is split structure-of-arrays style so the tag probe
-     * — the operation every lookup, fill, and invalidate performs —
-     * streams through nothing but tags:
+     * — the operation every lookup, markDirty, and invalidate
+     * performs, and fill's free-way search — streams through nothing
+     * but tags:
      *
      *  - `tags`: one Addr per line, contiguous per set, so findWay
      *    scans at most assoc adjacent words (an 8-way set is a single
